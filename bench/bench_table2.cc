@@ -521,7 +521,7 @@ double run_inbound_flows(Testbed& tb, int flows, int nics,
 // and re-forwards each one — IP saturates and the aggregate stalls under
 // 3 Gb/s no matter how many replicas wait behind it.  With rx_queues ==
 // tcp_shards every steerable frame lands on the queue of its home replica
-// and the drivers post it there directly (kDrvRxFast) — the hoisted IP
+// and the drivers post it there directly (kDrvRx) — the hoisted IP
 // receive work runs on the shards' own cores, the serialization point
 // disappears, and the aggregate beats the single-stack TSO row (4.74).
 void rss_datapoint(benchjson::Writer& jw) {

@@ -56,9 +56,10 @@ struct NodeConfig {
   // Table II row keeps the classic one-interrupt-one-message-per-frame
   // path, byte for byte.  With rx_coalesce_frames > 1 the NICs coalesce RX
   // interrupts into bursts (bounded by the frame count and the usec
-  // hold-off) and each burst crosses driver -> IP as one kDrvRxBurst
+  // hold-off) and each burst crosses driver -> IP as one packed kDrvRx
   // message; with gro additionally set, IP merges in-order same-flow TCP
-  // segments of a burst into one kL4RxAgg super-segment for the transport.
+  // segments of a burst into one packed kL4Rx super-segment for the
+  // transport.
   int rx_coalesce_frames = 0;
   std::uint32_t rx_coalesce_usecs = 50;
   bool gro = false;
@@ -68,7 +69,7 @@ struct NodeConfig {
   // frames (IPv4 TCP/UDP with readable ports) across N RX queues with the
   // same 4-tuple hash the transport plane steers by, the driver polls each
   // queue separately, and a queue's frames whose home shard index equals
-  // the queue index are posted straight to that replica (kDrvRxFast) —
+  // the queue index are posted straight to that replica (kDrvRx) —
   // running the hoisted IP receive work (src/net/ip_fastpath.h) on the
   // shard's own core instead of the central IP core.  Everything else
   // falls back to the classic path.

@@ -14,10 +14,10 @@ namespace {
 void check_loan_leaks(Node& node) {
   bool leaked = false;
   for (chan::Pool* pool : node.pools().all()) {
-    // Loans held by transport replicas cover kL4RxAgg messages still in
-    // flight — legitimate whenever the simulation stops mid-run.  Return
-    // them (the modelled orderly quiesce) so the check below sees only
-    // application loans, which must balance.
+    // Loans held by transport replicas cover packed kL4Rx and fast-path
+    // kDrvRx messages still in flight — legitimate whenever the simulation
+    // stops mid-run.  Return them (the modelled orderly quiesce) so the
+    // check below sees only application loans, which must balance.
     for (int s = 0; s < net::kMaxTransportShards; ++s) {
       pool->reclaim(servers::transport_borrower('T', s));
       pool->reclaim(servers::transport_borrower('U', s));

@@ -83,7 +83,7 @@ class SimNic {
   };
   static RssInfo rss_classify(std::span<const std::byte> bytes);
 
-  // One completed receive descriptor of a coalesced burst.
+  // One completed receive descriptor.
   struct RxCompletion {
     chan::RichPtr buffer;
     std::uint32_t len = 0;
@@ -103,20 +103,12 @@ class SimNic {
 
   // --- driver-facing register interface ------------------------------------------
   using TxDoneFn = std::function<void(std::uint64_t cookie, bool ok)>;
-  using RxFn = std::function<void(chan::RichPtr buffer, std::uint32_t len)>;
-  using RxFrameFn = std::function<void(int queue, const RxCompletion&)>;
   using RxBurstFn = std::function<void(int queue, std::vector<RxCompletion>&&)>;
   using LinkFn = std::function<void(bool up)>;
   void set_tx_done(TxDoneFn fn) { on_tx_done_ = std::move(fn); }
-  void set_rx(RxFn fn) { on_rx_ = std::move(fn); }
-  // Queue-aware per-frame interrupt handler; takes precedence over the
-  // legacy set_rx() handler when installed (multi-queue drivers need the
-  // queue index and the RSS metadata; the single-queue combined stack and
-  // the classic driver keep the old signature).
-  void set_rx_frame(RxFrameFn fn) { on_rx_frame_ = std::move(fn); }
-  // Burst interrupt handler; used only when coalescing() is enabled (the
-  // per-frame handler stays the fallback so the default device is
-  // byte-identical to what it always was).
+  // The receive interrupt: the completions of one RX queue.  A coalescing
+  // device raises it once per burst; every other device raises it once per
+  // frame, with exactly one completion.
   void set_rx_burst(RxBurstFn fn) { on_rx_burst_ = std::move(fn); }
   void set_link_change(LinkFn fn) { on_link_ = std::move(fn); }
 
@@ -187,8 +179,6 @@ class SimNic {
   std::vector<std::uint64_t> rx_timer_gens_;  // invalidate armed RADV timers
 
   TxDoneFn on_tx_done_;
-  RxFn on_rx_;
-  RxFrameFn on_rx_frame_;
   RxBurstFn on_rx_burst_;
   LinkFn on_link_;
   Stats stats_;

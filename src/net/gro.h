@@ -1,16 +1,21 @@
-// Receive-side aggregation (GRO) classification, shared between the central
-// IP engine's input_burst and the per-shard RX fast path.
+// Receive-side aggregation (GRO), shared between the central IP engine's
+// input_burst and the per-shard RX fast path: the per-frame classification
+// and the loop that splits a burst into aggregates.
 //
-// The per-frame facts GRO needs to decide mergeability, parsed once per
+// The per-frame facts GRO needs to decide mergeability are parsed once per
 // frame of a burst; ineligible frames re-parse on the classic input() path
 // (they are the rare case by construction of the burst).
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <utility>
 
+#include "src/chan/pool.h"
 #include "src/net/addr.h"
 #include "src/net/headers.h"
+#include "src/net/ip.h"
+#include "src/net/pf.h"
 
 namespace newtos::net {
 
@@ -69,6 +74,71 @@ inline GroInfo gro_classify(std::span<const std::byte> bytes,
   info.l4_length = l4_length;
   info.payload_len = payload;
   return info;
+}
+
+// Splits a burst into GRO aggregates: runs of consecutive, in-order,
+// same-4-tuple TCP data segments addressed to `ifp`.  A PSH frame ends its
+// run; flags beyond ACK/PSH, out-of-order arrivals and flow changes flush
+// the run under construction.  Every run of two or more frames goes to
+// `agg(L4AggPacket&&, const PfQuery&)` with the inbound PF query that
+// judges the whole run (flags ACK, plus PSH when a member pushed); every
+// other frame —
+// ineligible, or a run of one — goes to `single(frame)`, so single-frame
+// behavior is exactly the per-frame path.  Both are called in arrival
+// order: a caller that files PF queries must file an aggregate's before a
+// later single frame files its own (PF answers in submission order and
+// delivery follows verdict order).
+template <typename SingleFn, typename AggFn>
+inline void gro_split(chan::PoolRegistry& pools, const Interface* ifp,
+                      std::span<const chan::RichPtr> frames,
+                      SingleFn&& single, AggFn&& agg) {
+  L4AggPacket run;              // aggregate under construction
+  std::uint32_t next_seq = 0;
+  bool psh = false;             // a PSH frame closes its aggregate
+  auto finish = [&] {
+    if (run.segs.size() == 1) {
+      single(run.segs.front().frame);
+    } else if (!run.segs.empty()) {
+      PfQuery q;
+      q.dir = PfDir::In;
+      q.protocol = kProtoTcp;
+      q.src = run.src;
+      q.dst = run.dst;
+      q.sport = run.sport;
+      q.dport = run.dport;
+      q.tcp_flags = psh ? static_cast<std::uint8_t>(tcpflag::kAck |
+                                                    tcpflag::kPsh)
+                        : tcpflag::kAck;
+      agg(std::move(run), q);
+    }
+    run = L4AggPacket{};
+  };
+  for (const chan::RichPtr& frame : frames) {
+    const GroInfo info = ifp == nullptr
+                             ? GroInfo{}
+                             : gro_classify(pools.read(frame), ifp->addr);
+    if (!info.eligible) {
+      finish();
+      single(frame);
+      continue;
+    }
+    const bool continues = !run.segs.empty() && !psh &&
+                           info.src == run.src && info.sport == run.sport &&
+                           info.dport == run.dport && info.seq == next_seq;
+    if (!continues) finish();
+    if (run.segs.empty()) {
+      run.src = info.src;
+      run.dst = info.dst;
+      run.sport = info.sport;
+      run.dport = info.dport;
+      psh = false;
+    }
+    run.segs.push_back(L4Packet{frame, info.l4_offset, info.l4_length,
+                                info.src, info.dst});
+    next_seq = info.seq + info.payload_len;
+    if ((info.flags & tcpflag::kPsh) != 0) psh = true;
+  }
+  finish();
 }
 
 }  // namespace newtos::net

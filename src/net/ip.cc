@@ -169,7 +169,7 @@ void IpEngine::output(TxSeg&& seg, std::uint64_t l4_cookie) {
     // Remember the resolved hop in ip_hdr.dst (reused field).
     pending.ip_hdr.dst = next_hop;
     pf_pending_.emplace(cookie, std::move(pending));
-    env_.pf_check(q, cookie);
+    query_pf(q, cookie);
     return;
   }
   continue_output(std::move(seg), l4_cookie, ifindex, next_hop);
@@ -206,10 +206,15 @@ void IpEngine::pf_verdict(std::uint64_t cookie, bool allow) {
   }
 }
 
+void IpEngine::query_pf(const PfQuery& q, std::uint64_t cookie) {
+  const std::pair<PfQuery, std::uint64_t> one{q, cookie};
+  env_.pf_check({&one, 1});
+}
+
 std::size_t IpEngine::resubmit_pf_pending() {
   std::size_t n = 0;
   for (auto& [cookie, pending] : pf_pending_) {
-    env_.pf_check(pending.query, cookie);
+    query_pf(pending.query, cookie);
     ++n;
   }
   return n;
@@ -453,7 +458,7 @@ void IpEngine::input(int ifindex, chan::RichPtr frame) {
     pending.l4_length = l4_length;
     pending.ip_hdr = *ip;
     pf_pending_.emplace(cookie, std::move(pending));
-    env_.pf_check(q, cookie);
+    query_pf(q, cookie);
     return;
   }
   deliver_inbound(ifindex, frame, *ip, l4_offset, l4_length);
@@ -461,24 +466,18 @@ void IpEngine::input(int ifindex, chan::RichPtr frame) {
 
 // --- receive-side aggregation (GRO) ------------------------------------------------
 //
-// The classification logic lives in net/gro.h: the per-shard RX fast path
-// (net/ip_fastpath.cc) runs the same merge rules against the same GroInfo.
+// The merge rules live in net/gro.h: the per-shard RX fast path
+// (net/ip_fastpath.cc) splits its bursts with the same gro_split.
 
 void IpEngine::deliver_agg(L4AggPacket&& agg) {
   stats_.gro_aggs += 1;
   stats_.gro_frames += agg.segs.size();
   stats_.rx_delivered += agg.segs.size();
-  if (env_.deliver_tcp_agg) {
-    env_.deliver_tcp_agg(std::move(agg));
+  if (env_.deliver) {
+    env_.deliver(kProtoTcp, agg.segs);
     return;
   }
-  for (auto& seg : agg.segs) {
-    if (env_.deliver_tcp) {
-      env_.deliver_tcp(std::move(seg));
-    } else {
-      rx_done(seg.frame);
-    }
-  }
+  for (auto& seg : agg.segs) rx_done(seg.frame);
 }
 
 void IpEngine::drop_agg(L4AggPacket&& agg) {
@@ -488,95 +487,38 @@ void IpEngine::drop_agg(L4AggPacket&& agg) {
 
 void IpEngine::input_burst(int ifindex,
                            std::span<const chan::RichPtr> frames) {
-  const Interface* ifp = iface(ifindex);
-
-  L4AggPacket agg;             // aggregate under construction
-  std::uint32_t agg_next_seq = 0;
-  bool agg_psh = false;        // a PSH frame closes its aggregate
   // PF queries raised by this burst's aggregates; batched while consecutive.
   std::vector<std::pair<PfQuery, std::uint64_t>> queries;
-
-  // PF answers strictly in submission order, and delivery order follows
-  // verdict order — so the pending batch must reach PF before any frame
-  // that takes the classic input() path files its own per-frame query, or
-  // a later segment could overtake an earlier aggregate of its own flow.
   auto flush_queries = [&] {
     if (queries.empty()) return;
-    if (env_.pf_check_batch) {
-      env_.pf_check_batch(queries);
-    } else {
-      for (const auto& [q, cookie] : queries) env_.pf_check(q, cookie);
-    }
+    env_.pf_check(queries);
     queries.clear();
   };
-
-  auto finish_agg = [&] {
-    if (agg.segs.empty()) return;
-    if (agg.segs.size() == 1) {
-      // A lone frame takes the classic path — including its own per-frame
-      // PF query — so single-frame behavior is exactly what it always was.
-      chan::RichPtr frame = agg.segs.front().frame;
-      agg.segs.clear();
-      flush_queries();
-      input(ifindex, frame);
-      agg = L4AggPacket{};
-      return;
-    }
-    stats_.rx_frames += agg.segs.size();
-    if (env_.pf_check) {
-      PfQuery q;
-      q.dir = PfDir::In;
-      q.protocol = kProtoTcp;
-      q.src = agg.src;
-      q.dst = agg.dst;
-      q.sport = agg.sport;
-      q.dport = agg.dport;
-      q.tcp_flags = agg_psh ? static_cast<std::uint8_t>(tcpflag::kAck |
-                                                        tcpflag::kPsh)
-                            : tcpflag::kAck;
-      const std::uint64_t cookie = next_cookie_++;
-      PendingPf pending;
-      pending.query = q;
-      pending.outbound = false;
-      pending.ifindex = ifindex;
-      pending.is_agg = true;
-      pending.agg = std::move(agg);
-      pf_pending_.emplace(cookie, std::move(pending));
-      queries.emplace_back(q, cookie);
-    } else {
-      deliver_agg(std::move(agg));
-    }
-    agg = L4AggPacket{};
-  };
-
-  for (const chan::RichPtr& frame : frames) {
-    const GroInfo info =
-        ifp == nullptr ? GroInfo{}
-                       : gro_classify(env_.pools->read(frame), ifp->addr);
-    if (!info.eligible) {
-      finish_agg();
-      flush_queries();
-      input(ifindex, frame);  // the classic per-frame path, verbatim
-      continue;
-    }
-    const bool continues =
-        !agg.segs.empty() && !agg_psh && info.src == agg.src &&
-        info.sport == agg.sport && info.dport == agg.dport &&
-        info.seq == agg_next_seq;
-    if (!continues) finish_agg();
-    if (agg.segs.empty()) {
-      agg.src = info.src;
-      agg.dst = info.dst;
-      agg.sport = info.sport;
-      agg.dport = info.dport;
-      agg_psh = false;
-    }
-    agg.segs.push_back(L4Packet{frame, info.l4_offset, info.l4_length,
-                                info.src, info.dst});
-    agg_next_seq = info.seq + info.payload_len;
-    if ((info.flags & tcpflag::kPsh) != 0) agg_psh = true;
-  }
-  finish_agg();
+  gro_split(
+      *env_.pools, iface(ifindex), frames,
+      [&](const chan::RichPtr& frame) {
+        // The pending batch must reach PF before this frame files its own
+        // per-frame query, or a later segment could overtake an earlier
+        // aggregate of its own flow.
+        flush_queries();
+        input(ifindex, frame);
+      },
+      [&](L4AggPacket&& agg, const PfQuery& q) {
+        stats_.rx_frames += agg.segs.size();
+        if (!env_.pf_check) {
+          deliver_agg(std::move(agg));
+          return;
+        }
+        const std::uint64_t cookie = next_cookie_++;
+        PendingPf pending;
+        pending.query = q;
+        pending.outbound = false;
+        pending.ifindex = ifindex;
+        pending.is_agg = true;
+        pending.agg = std::move(agg);
+        pf_pending_.emplace(cookie, std::move(pending));
+        queries.emplace_back(q, cookie);
+      });
   flush_queries();
 }
 
@@ -590,19 +532,13 @@ void IpEngine::deliver_inbound(int ifindex, chan::RichPtr frame,
       rx_done(frame);
       return;
     case kProtoTcp:
-      if (env_.deliver_tcp) {
-        ++stats_.rx_delivered;
-        env_.deliver_tcp(
-            L4Packet{frame, l4_offset, l4_length, ip_hdr.src, ip_hdr.dst});
-        return;  // TCP owns the frame ref until rx_done
-      }
-      break;
     case kProtoUdp:
-      if (env_.deliver_udp) {
+      if (env_.deliver) {
         ++stats_.rx_delivered;
-        env_.deliver_udp(
-            L4Packet{frame, l4_offset, l4_length, ip_hdr.src, ip_hdr.dst});
-        return;
+        const L4Packet pkt{frame, l4_offset, l4_length, ip_hdr.src,
+                           ip_hdr.dst};
+        env_.deliver(ip_hdr.protocol, {&pkt, 1});
+        return;  // the transport owns the frame ref until rx_done
       }
       break;
     default:

@@ -87,20 +87,16 @@ class IpEngine {
     // tx_done(cookie, ok).
     std::function<void(int ifindex, TxFrame&&, std::uint64_t cookie)>
         send_frame;
-    // Ask the packet filter.  The verdict arrives via pf_verdict(cookie).
-    // May be empty: no filter configured, everything passes.
-    std::function<void(const PfQuery&, std::uint64_t cookie)> pf_check;
-    // Deliver transport payloads upward.
-    std::function<void(L4Packet&&)> deliver_tcp;
-    std::function<void(L4Packet&&)> deliver_udp;
-    // Deliver a GRO aggregate upward.  May be empty: aggregates then fall
-    // back to per-segment deliver_tcp (GRO effectively off above IP).
-    std::function<void(L4AggPacket&&)> deliver_tcp_agg;
-    // Batched variant of pf_check: all aggregate queries raised by one RX
-    // burst travel together.  May be empty: queries go out one by one.
-    std::function<void(
-        std::span<const std::pair<PfQuery, std::uint64_t>>)>
-        pf_check_batch;
+    // Ask the packet filter about one or more packets (the aggregates of
+    // one RX burst travel together).  Each verdict arrives via
+    // pf_verdict(cookie).  May be empty: no filter configured, everything
+    // passes.
+    std::function<void(std::span<const std::pair<PfQuery, std::uint64_t>>)>
+        pf_check;
+    // Deliver transport payloads upward: one packet, or a GRO aggregate
+    // (consecutive in-order segments of one TCP flow).
+    std::function<void(std::uint8_t protocol, std::span<const L4Packet>)>
+        deliver;
     // Completion towards L4: the segment with `l4_cookie` was transmitted
     // (or dropped, sent=false).  Only after this may L4 free its header.
     std::function<void(std::uint64_t l4_cookie, bool sent)> seg_done;
@@ -131,11 +127,9 @@ class IpEngine {
 
   // --- driver -> IP ------------------------------------------------------------
   void input(int ifindex, chan::RichPtr frame);
-  // A coalesced RX burst.  Consecutive in-order same-4-tuple TCP data
-  // segments are merged into aggregates (GRO); everything else — and every
-  // aggregate of one — takes the exact per-frame input() path.  Flags
-  // beyond ACK/PSH, out-of-order arrivals and flow changes flush the
-  // aggregate under construction.
+  // A coalesced RX burst, split by net/gro.h's gro_split: aggregates are
+  // delivered whole (after one PF query each, batched per burst);
+  // everything else takes the exact per-frame input() path.
   void input_burst(int ifindex, std::span<const chan::RichPtr> frames);
   void tx_done(std::uint64_t cookie, bool ok);
 
@@ -209,6 +203,8 @@ class IpEngine {
   void deliver_inbound(int ifindex, chan::RichPtr frame,
                        const Ipv4Header& ip_hdr, std::uint16_t l4_offset,
                        std::uint16_t l4_length);
+  // Files one PF query for a packet already in pf_pending_.
+  void query_pf(const PfQuery& q, std::uint64_t cookie);
   void deliver_agg(L4AggPacket&& agg);
   void drop_agg(L4AggPacket&& agg);
   void handle_icmp(int ifindex, const chan::RichPtr& frame,

@@ -163,28 +163,17 @@ void IpFastPath::run_item(const FlowKey& key, HeldItem&& item, bool allow) {
 }
 
 void IpFastPath::deliver_item(HeldItem&& item) {
+  std::span<const L4Packet> segs{&item.pkt, 1};
   if (item.kind == HeldItem::Kind::DeliverAgg) {
     stats_.gro_aggs += 1;
     stats_.gro_frames += item.agg.segs.size();
-    stats_.fast_frames += item.agg.segs.size();
-    if (env_.deliver_agg) {
-      env_.deliver_agg(std::move(item.agg));
-      return;
-    }
-    for (auto& seg : item.agg.segs) {
-      if (env_.deliver) {
-        env_.deliver(kProtoTcp, std::move(seg));
-      } else if (env_.release) {
-        env_.release(seg.frame);
-      }
-    }
-    return;
+    segs = item.agg.segs;
   }
-  ++stats_.fast_frames;
+  stats_.fast_frames += segs.size();
   if (env_.deliver) {
-    env_.deliver(item.proto, std::move(item.pkt));
+    env_.deliver(item.proto, segs);
   } else if (env_.release) {
-    env_.release(item.pkt.frame);
+    for (const auto& seg : segs) env_.release(seg.frame);
   }
 }
 
@@ -199,23 +188,12 @@ void IpFastPath::drop_item(HeldItem&& item) {
   if (env_.release) env_.release(item.pkt.frame);
 }
 
-void IpFastPath::finish_agg(int ifindex, L4AggPacket&& agg,
-                            std::uint8_t tcp_flags) {
-  if (agg.segs.empty()) return;
-  if (agg.segs.size() == 1) {
-    // A lone frame takes the per-frame leg — including its own PF query
-    // with its own flags — so single-frame behavior matches the classic
-    // engine exactly.
-    chan::RichPtr frame = agg.segs.front().frame;
-    agg.segs.clear();
-    input(ifindex, frame);
-    return;
-  }
+void IpFastPath::input_agg(L4AggPacket&& agg, const PfQuery& q) {
   FlowKey key;
-  key.src = agg.src;
-  key.dst = agg.dst;
-  key.sport = agg.sport;
-  key.dport = agg.dport;
+  key.src = q.src;
+  key.dst = q.dst;
+  key.sport = q.sport;
+  key.dport = q.dport;
   key.protocol = kProtoTcp;
 
   HeldItem item;
@@ -227,14 +205,6 @@ void IpFastPath::finish_agg(int ifindex, L4AggPacket&& agg,
     deliver_item(std::move(item));
     return;
   }
-  PfQuery q;
-  q.dir = PfDir::In;
-  q.protocol = kProtoTcp;
-  q.src = key.src;
-  q.dst = key.dst;
-  q.sport = key.sport;
-  q.dport = key.dport;
-  q.tcp_flags = tcp_flags;
   judge(key, q, std::move(item));
 }
 
@@ -244,55 +214,14 @@ void IpFastPath::input_burst(int ifindex,
     for (const chan::RichPtr& frame : frames) input(ifindex, frame);
     return;
   }
-  const Interface* ifp = iface(ifindex);
-
-  L4AggPacket agg;             // aggregate under construction
-  std::uint32_t agg_next_seq = 0;
-  bool agg_psh = false;        // a PSH frame closes its aggregate
-
-  for (const chan::RichPtr& frame : frames) {
-    const GroInfo info =
-        ifp == nullptr ? GroInfo{}
-                       : gro_classify(env_.pools->read(frame), ifp->addr);
-    if (!info.eligible) {
-      // The pending aggregate's PF query must be filed before this frame
-      // files its own (or falls back), or a later segment could overtake
-      // an earlier aggregate of its own flow — the PR 4 ordering fix.
-      finish_agg(ifindex, std::move(agg),
-                 agg_psh ? static_cast<std::uint8_t>(tcpflag::kAck |
-                                                     tcpflag::kPsh)
-                         : tcpflag::kAck);
-      agg = L4AggPacket{};
-      input(ifindex, frame);
-      continue;
-    }
-    const bool continues =
-        !agg.segs.empty() && !agg_psh && info.src == agg.src &&
-        info.sport == agg.sport && info.dport == agg.dport &&
-        info.seq == agg_next_seq;
-    if (!continues) {
-      finish_agg(ifindex, std::move(agg),
-                 agg_psh ? static_cast<std::uint8_t>(tcpflag::kAck |
-                                                     tcpflag::kPsh)
-                         : tcpflag::kAck);
-      agg = L4AggPacket{};
-    }
-    if (agg.segs.empty()) {
-      agg.src = info.src;
-      agg.dst = info.dst;
-      agg.sport = info.sport;
-      agg.dport = info.dport;
-      agg_psh = false;
-    }
-    agg.segs.push_back(L4Packet{frame, info.l4_offset, info.l4_length,
-                                info.src, info.dst});
-    agg_next_seq = info.seq + info.payload_len;
-    if ((info.flags & tcpflag::kPsh) != 0) agg_psh = true;
-  }
-  finish_agg(ifindex, std::move(agg),
-             agg_psh
-                 ? static_cast<std::uint8_t>(tcpflag::kAck | tcpflag::kPsh)
-                 : tcpflag::kAck);
+  // A lone frame takes the per-frame leg — including its own PF query with
+  // its own flags — so single-frame behavior matches the classic engine.
+  gro_split(
+      *env_.pools, iface(ifindex), frames,
+      [&](const chan::RichPtr& frame) { input(ifindex, frame); },
+      [&](L4AggPacket&& agg, const PfQuery& q) {
+        input_agg(std::move(agg), q);
+      });
 }
 
 void IpFastPath::pf_verdict(std::uint64_t cookie, bool allow) {

@@ -47,11 +47,10 @@ class IpFastPath {
 
   struct Env {
     chan::PoolRegistry* pools = nullptr;
-    // Deliver one validated TCP/UDP packet into the shard's own engine.
-    std::function<void(std::uint8_t proto, L4Packet&&)> deliver;
-    // Deliver a GRO aggregate (TCP shards only; unset falls back to
-    // per-segment deliver).
-    std::function<void(L4AggPacket&&)> deliver_agg;
+    // Deliver validated packets into the shard's own engine: one TCP/UDP
+    // packet, or a GRO aggregate (TCP shards only).
+    std::function<void(std::uint8_t proto, std::span<const L4Packet>)>
+        deliver;
     // File a PF query; the answer comes back through pf_verdict().
     std::function<void(const PfQuery&, std::uint64_t cookie)> pf_check;
     // Hand a frame back to the classic IP server input path.
@@ -136,7 +135,7 @@ class IpFastPath {
   void deliver_item(HeldItem&& item);
   void drop_item(HeldItem&& item);
   void emit_fallback(int ifindex, const chan::RichPtr& frame);
-  void finish_agg(int ifindex, L4AggPacket&& agg, std::uint8_t tcp_flags);
+  void input_agg(L4AggPacket&& agg, const PfQuery& q);
 
   Env env_;
   Config cfg_;

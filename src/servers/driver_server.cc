@@ -8,24 +8,6 @@
 
 namespace newtos::servers {
 
-void DriverServer::forward_rx_frame(const chan::RichPtr& buf,
-                                    std::uint32_t len, sim::Context& ctx,
-                                    int queue) {
-  chan::Message m;
-  m.opcode = kDrvRx;
-  m.ptr = buf;
-  m.ptr.length = len;  // actual frame length within the buffer
-  ++rx_msgs_;
-  if (!send_to(ip_name_, m, ctx)) {
-    // IP is down or its queue is full: the frame is dropped; the buffer
-    // itself belongs to IP's pool and will be recovered when IP reposts
-    // buffers.  Not silent any more: the drop is counted and surfaced
-    // through Node::publish_channel_stats.
-    ++rx_dropped_;
-    if (queue < static_cast<int>(rx_dropped_q_.size())) ++rx_dropped_q_[queue];
-  }
-}
-
 DriverServer::DriverServer(NodeEnv* env, sim::SimCore* core, drv::SimNic* nic,
                            int ifindex, std::string ip_name)
     : Server(env, driver_name(ifindex), core),
@@ -69,85 +51,55 @@ void DriverServer::send_rx_credit(std::size_t frames, sim::Context& ctx) {
   send_to(ip_name_, m, ctx);
 }
 
-void DriverServer::send_run_to_ip(
-    std::span<const drv::SimNic::RxCompletion> run, sim::Context& ctx,
-    int queue) {
-  if (run.empty()) return;
-  if (burst_pool_ == nullptr) {
-    for (const auto& c : run) forward_rx_frame(c.buffer, c.len, ctx, queue);
-    return;
-  }
-  std::vector<WireRxFrame> recs;
-  recs.reserve(run.size());
-  for (const auto& c : run) {
-    WireRxFrame rec;
-    rec.frame = c.buffer;
-    rec.frame.length = c.len;
-    recs.push_back(rec);
-  }
-  chan::RichPtr desc = pack_records<WireRxFrame>(*burst_pool_, recs);
-  if (!desc.valid()) {
-    // Descriptor pool exhausted: degrade to per-frame messages rather than
-    // dropping a whole burst.
-    for (const auto& c : run) forward_rx_frame(c.buffer, c.len, ctx, queue);
-    return;
-  }
-  chan::Message m;
-  m.opcode = kDrvRxBurst;
-  m.ptr = desc;
-  m.arg0 = recs.size();
-  ++rx_msgs_;
-  if (!send_to(ip_name_, m, ctx)) {
-    rx_dropped_ += recs.size();
-    if (queue < static_cast<int>(rx_dropped_q_.size()))
-      rx_dropped_q_[queue] += recs.size();
-    burst_pool_->release(desc);
-  }
-}
-
-std::size_t DriverServer::send_run_fast(
+std::size_t DriverServer::send_run(
     const std::string& target, std::span<const drv::SimNic::RxCompletion> run,
     sim::Context& ctx, int queue) {
-  if (run.empty() || burst_pool_ == nullptr) {
-    send_run_to_ip(run, ctx, queue);
-    return 0;
+  std::vector<WireRxFrame> recs(run.size());
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    recs[i].frame = run[i].buffer;
+    recs[i].frame.length = run[i].len;  // actual frame length in the buffer
   }
-  std::vector<WireRxFrame> recs;
-  recs.reserve(run.size());
-  for (const auto& c : run) {
-    WireRxFrame rec;
-    rec.frame = c.buffer;
-    rec.frame.length = c.len;
-    recs.push_back(rec);
-  }
-  chan::RichPtr desc = pack_records<WireRxFrame>(*burst_pool_, recs);
-  if (!desc.valid()) {
-    for (const auto& c : run) forward_rx_frame(c.buffer, c.len, ctx, queue);
-    return 0;
-  }
+  std::vector<bool> refused(run.size(), false);
   chan::Message m;
-  m.opcode = kDrvRxFast;
-  m.ptr = desc;
-  m.arg0 = recs.size();
+  m.opcode = kDrvRx;
   m.arg1 = static_cast<std::uint64_t>(ifindex_);
-  ++rx_msgs_;
-  if (!send_to(target, m, ctx)) {
-    // The replica is down or backlogged (reincarnation in progress): its
-    // queue drains through the classic IP path until it is back.
-    burst_pool_->release(desc);
-    send_run_to_ip(run, ctx, queue);
+  send_records<WireRxFrame>(
+      burst_pool_, m, recs,
+      [&](const chan::Message& msg) {
+        ++rx_msgs_;
+        return send_to(target, msg, ctx);
+      },
+      [&](std::size_t i) { refused[i] = true; });
+  std::vector<drv::SimNic::RxCompletion> to_ip;  // refused by the target
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    if (refused[i]) to_ip.push_back(run[i]);
+  }
+  if (target == ip_name_) {
+    // IP is down or its queue is full: the frames are dropped; the buffers
+    // themselves belong to IP's pool and are recovered when IP reposts.
+    // Not silent: the drops are counted and surfaced through
+    // Node::publish_channel_stats.
+    rx_dropped_ += to_ip.size();
+    if (queue < static_cast<int>(rx_dropped_q_.size()))
+      rx_dropped_q_[queue] += to_ip.size();
     return 0;
   }
-  rx_fast_frames_ += recs.size();
-  // The frame references are now on loan to the replica: if it dies with
-  // the message still queued, IP's reclaim on the replica's restart
-  // recovers them (the replica note_returns each frame as it unpacks).
+  // The frames the replica took are on loan to it: if it dies with the
+  // message still queued, IP's reclaim on the replica's restart recovers
+  // them (the replica note_returns each frame as it unpacks).
   const char proto = run.front().proto == net::kProtoUdp ? 'U' : 'T';
-  for (const auto& c : run) {
-    chan::Pool* pool = env().pools->find(c.buffer.pool);
-    if (pool != nullptr) pool->note_borrow(c.buffer, transport_borrower(proto, queue));
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    if (refused[i]) continue;
+    chan::Pool* pool = env().pools->find(run[i].buffer.pool);
+    if (pool != nullptr)
+      pool->note_borrow(run[i].buffer, transport_borrower(proto, queue));
   }
-  return recs.size();
+  // A replica that is down or backlogged (reincarnation in progress) has
+  // its queue drain through the classic IP path until it is back.
+  if (!to_ip.empty()) send_run(ip_name_, to_ip, ctx, queue);
+  const std::size_t fast = run.size() - to_ip.size();
+  rx_fast_frames_ += fast;
+  return fast;
 }
 
 void DriverServer::start(bool restart) {
@@ -161,7 +113,7 @@ void DriverServer::start(bool restart) {
     expose_in_queue(kRsName, 64);
     connect_out(kRsName);
   }
-  if (nic_->coalescing() || fast_path_) {
+  if (nic_->coalescing()) {
     burst_pool_ = env().get_pool(name() + ".buf", 1u << 20);
   }
   install_device_handlers();
@@ -223,50 +175,18 @@ void DriverServer::install_device_handlers() {
         },
         100);
   });
-  nic_->set_rx([this, inc](chan::RichPtr buf, std::uint32_t len) {
-    if (incarnation() != inc) return;
-    post_kernel_msg(
-        [this, buf, len](sim::Context& ctx) {
-          charge(ctx, sim().costs().drv_packet_proc);
-          ++rx_frames_;
-          forward_rx_frame(buf, len, ctx);
-        },
-        100);
-  });
-  if (fast_path_) {
-    // Multi-queue per-frame interrupts: the queue index and RSS metadata
-    // pick the target, one message either way.
-    nic_->set_rx_frame([this, inc](int queue,
-                                   const drv::SimNic::RxCompletion& c) {
-      if (incarnation() != inc) return;
-      post_kernel_msg(
-          [this, queue, c](sim::Context& ctx) {
-            charge(ctx, sim().costs().drv_packet_proc);
-            ++rx_frames_;
-            const std::string target = fast_target(c, queue);
-            if (target.empty()) {
-              forward_rx_frame(c.buffer, c.len, ctx, queue);
-              return;
-            }
-            std::span<const drv::SimNic::RxCompletion> run{&c, 1};
-            send_rx_credit(send_run_fast(target, run, ctx, queue), ctx);
-          },
-          100);
-    });
-  }
   nic_->set_rx_burst([this, inc](int queue,
                                  std::vector<drv::SimNic::RxCompletion>&&
                                      burst) {
     if (incarnation() != inc) return;
-    // ONE kernel message per coalesced interrupt: the trap, the receive and
-    // the mwait wakeup are amortized over the whole burst.  The per-frame
-    // descriptor work is still charged per frame.
+    // ONE kernel message per interrupt: with coalescing the trap, the
+    // receive and the mwait wakeup are amortized over the whole burst.  The
+    // per-frame descriptor work is still charged per frame.
     post_kernel_msg(
         [this, queue, burst = std::move(burst)](sim::Context& ctx) {
           charge(ctx, sim().costs().drv_packet_proc *
                           static_cast<sim::Cycles>(burst.size()));
           rx_frames_ += burst.size();
-          ++rx_bursts_;
           // Split the burst into consecutive runs per target: the queue's
           // home replica for fast-eligible frames, IP for the rest.  A
           // single-target burst (every classic device) stays one message.
@@ -277,13 +197,8 @@ void DriverServer::install_device_handlers() {
             std::size_t j = i + 1;
             while (j < burst.size() && fast_target(burst[j], queue) == target)
               ++j;
-            std::span<const drv::SimNic::RxCompletion> run{burst.data() + i,
-                                                           j - i};
-            if (target.empty()) {
-              send_run_to_ip(run, ctx, queue);
-            } else {
-              fast += send_run_fast(target, run, ctx, queue);
-            }
+            fast += send_run(target.empty() ? ip_name_ : target,
+                             {burst.data() + i, j - i}, ctx, queue);
             i = j;
           }
           send_rx_credit(fast, ctx);

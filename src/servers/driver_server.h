@@ -6,11 +6,12 @@
 // restart resets the device (losing whatever was in the rings — IP
 // resubmits) and the link bounces.
 //
-// With multi-queue RSS enabled the driver polls each queue separately and
-// posts a queue's steerable frames straight to the queue's home transport
-// replica (kDrvRxFast), skipping the central IP hop; everything else — and
-// every frame when a replica is down — takes the classic kDrvRx/kDrvRxBurst
-// path through IP.
+// Each receive interrupt becomes kDrvRx messages: one per interrupt and
+// target, carrying the interrupt's frames (one inline, a coalesced burst
+// packed).  With multi-queue RSS enabled the driver polls each queue
+// separately and posts a queue's steerable frames straight to the queue's
+// home transport replica, skipping the central IP hop; everything else —
+// and every frame when a replica is down — goes through IP.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +43,6 @@ class DriverServer : public Server {
   // Section IV-A drop policy made visible).
   std::uint64_t rx_msgs() const { return rx_msgs_; }
   std::uint64_t rx_frames() const { return rx_frames_; }
-  std::uint64_t rx_bursts() const { return rx_bursts_; }
   // Frames dropped because IP's queue was full (or IP was down).
   std::uint64_t rx_dropped() const { return rx_dropped_; }
   std::uint64_t rx_dropped_queue(int queue) const {
@@ -71,19 +71,15 @@ class DriverServer : public Server {
   // counter against delivered frames; two flat strikes reset the device.
   void watchdog_tick();
   void drain_backlog(sim::Context& ctx);
-  void forward_rx_frame(const chan::RichPtr& buf, std::uint32_t len,
-                        sim::Context& ctx, int queue = 0);
   // Home replica for a completion on `queue`; empty = classic IP path.
   std::string fast_target(const drv::SimNic::RxCompletion& c,
                           int queue) const;
-  // Sends `run` to IP as one kDrvRxBurst (per-frame degrade inside).
-  void send_run_to_ip(std::span<const drv::SimNic::RxCompletion> run,
-                      sim::Context& ctx, int queue);
-  // Sends `run` to `target` as one kDrvRxFast; returns the number of
-  // frames that actually went fast (0 = the run was degraded to IP).
-  std::size_t send_run_fast(const std::string& target,
-                            std::span<const drv::SimNic::RxCompletion> run,
-                            sim::Context& ctx, int queue);
+  // Sends `run` to `target` as kDrvRx.  Frames a replica refuses (it is
+  // down or backlogged) go to IP instead; frames IP refuses are dropped.
+  // Returns the number of frames that went fast.
+  std::size_t send_run(const std::string& target,
+                       std::span<const drv::SimNic::RxCompletion> run,
+                       sim::Context& ctx, int queue);
   void send_rx_credit(std::size_t frames, sim::Context& ctx);
 
   drv::SimNic* nic_;
@@ -93,12 +89,10 @@ class DriverServer : public Server {
   int tcp_shards_ = 1;
   int udp_shards_ = 1;
   // Staging pool for burst descriptors; created only when the device
-  // coalesces or the fast path packs records (the classic per-frame driver
-  // allocates nothing).
+  // coalesces (a per-frame interrupt travels inline and allocates nothing).
   chan::Pool* burst_pool_ = nullptr;
   std::uint64_t rx_msgs_ = 0;
   std::uint64_t rx_frames_ = 0;
-  std::uint64_t rx_bursts_ = 0;
   std::uint64_t rx_dropped_ = 0;
   std::uint64_t rx_fast_frames_ = 0;
   std::vector<std::uint64_t> rx_dropped_q_;

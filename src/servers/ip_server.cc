@@ -14,23 +14,46 @@ int IpServer::ifindex_of(const std::string& driver) {
   return std::atoi(driver.c_str() + 3);  // "drvN"
 }
 
-void IpServer::deliver_l4(char proto, net::L4Packet&& pkt) {
+void IpServer::send_l4(std::uint8_t protocol,
+                       std::span<const net::L4Packet> segs) {
+  sim::Context& ctx = cur();
   // The steering point of the sharded transport plane: one flow always
-  // hashes to the same replica, so replicas never share connections.
-  const std::string target =
-      proto == 'U' ? udp_shard_name(steer(pkt, cfg_.udp_shards))
-                   : tcp_shard_name(steer(pkt, cfg_.tcp_shards));
+  // hashes to the same replica, so replicas never share connections (and
+  // an aggregate, one flow by construction, never spans two).
+  const char proto = protocol == net::kProtoUdp ? 'U' : 'T';
+  const int shard = steer(segs.front(), proto == 'U' ? cfg_.udp_shards
+                                                     : cfg_.tcp_shards);
+  const std::string target = transport_shard_name(proto, shard);
+  if (segs.size() > 1) charge(ctx, 150);  // descriptor packing, as on TX
+  std::vector<WireRxFrame> recs(segs.size());
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    recs[i].frame = segs[i].frame;
+    recs[i].l4_offset = segs[i].l4_offset;
+    recs[i].l4_length = segs[i].l4_length;
+  }
   chan::Message m;
   m.opcode = kL4Rx;
-  m.ptr = pkt.frame;
-  m.arg0 = (static_cast<std::uint64_t>(pkt.l4_offset) << 16) | pkt.l4_length;
-  m.arg1 = pack_addrs(pkt.src, pkt.dst);
-  if (!send_to(target, m, cur())) {
-    engine_->rx_done(pkt.frame);
-    return;
-  }
-  ++l4_msgs_;
-  ++l4_frames_;
+  m.arg1 = pack_addrs(segs.front().src, segs.front().dst);
+  send_records<WireRxFrame>(
+      hdr_pool_, m, recs,
+      [&](const chan::Message& msg) {
+        if (!send_to(target, msg, ctx)) return false;
+        ++l4_msgs_;
+        if ((msg.flags & kMsgPacked) == 0) {
+          ++l4_frames_;
+          return true;
+        }
+        l4_frames_ += recs.size();
+        // The frame references of a packed message are now on loan to the
+        // replica: if it dies with the message still queued, reclaim() on
+        // its restart recovers them (the replica note_returns each frame
+        // as it unpacks).
+        for (const auto& rec : recs) {
+          rx_pool_->note_borrow(rec.frame, transport_borrower(proto, shard));
+        }
+        return true;
+      },
+      [&](std::size_t i) { engine_->rx_done(recs[i].frame); });
 }
 
 int IpServer::steer(const net::L4Packet& pkt, int shards) {
@@ -79,85 +102,27 @@ void IpServer::build_engine() {
     drv_descs_.emplace(cookie, desc);
   };
   if (cfg_.use_pf) {
-    e.pf_check = [this](const net::PfQuery& q, std::uint64_t cookie) {
-      send_to(kPfName, make_pf_check(cookie, q), cur());
-      // If PF is down the query is repeated on its restart
-      // (resubmit_pf_pending); nothing is ever lost here (Section V-D).
-    };
-  }
-  e.deliver_tcp = [this](net::L4Packet&& pkt) {
-    deliver_l4('T', std::move(pkt));
-  };
-  e.deliver_udp = [this](net::L4Packet&& pkt) {
-    deliver_l4('U', std::move(pkt));
-  };
-  if (cfg_.gro) {
-    e.deliver_tcp_agg = [this](net::L4AggPacket&& agg) {
-      sim::Context& ctx = cur();
-      charge(ctx, 150);  // descriptor packing, same as the TX-side charge
-      const int shard = net::steer_shard(agg.src, agg.dst, agg.sport,
-                                         agg.dport,
-                                         std::max(1, cfg_.tcp_shards));
-      std::vector<WireRxFrame> recs;
-      recs.reserve(agg.segs.size());
-      for (const auto& seg : agg.segs) {
-        WireRxFrame rec;
-        rec.frame = seg.frame;
-        rec.l4_offset = seg.l4_offset;
-        rec.l4_length = seg.l4_length;
-        recs.push_back(rec);
-      }
-      chan::RichPtr desc = pack_records<WireRxFrame>(*hdr_pool_, recs);
-      if (!desc.valid()) {
-        // Pool exhausted: degrade to the classic per-frame leg.
-        for (auto& seg : agg.segs) deliver_l4('T', std::move(seg));
-        return;
-      }
-      chan::Message m;
-      m.opcode = kL4RxAgg;
-      m.ptr = desc;
-      m.arg0 = recs.size();
-      m.arg1 = pack_addrs(agg.src, agg.dst);
-      if (!send_to(tcp_shard_name(shard), m, ctx)) {
-        hdr_pool_->release(desc);
-        for (auto& seg : agg.segs) engine_->rx_done(seg.frame);
-        return;
-      }
-      ++l4_msgs_;
-      l4_frames_ += recs.size();
-      // The frame references are now on loan to the replica: if it dies
-      // with the message still queued, reclaim() on its restart recovers
-      // them (the replica note_returns each frame as it unpacks).
-      for (const auto& seg : agg.segs) {
-        rx_pool_->note_borrow(seg.frame, transport_borrower('T', shard));
-      }
-    };
-  }
-  if (cfg_.gro && cfg_.use_pf) {
-    e.pf_check_batch =
+    e.pf_check =
         [this](std::span<const std::pair<net::PfQuery, std::uint64_t>> qs) {
-          sim::Context& ctx = cur();
           std::vector<WirePfQuery> recs;
           recs.reserve(qs.size());
-          for (const auto& [q, cookie] : qs) {
-            recs.push_back(WirePfQuery{cookie, q});
-          }
-          chan::RichPtr desc = pack_records<WirePfQuery>(*hdr_pool_, recs);
-          if (desc.valid()) {
-            chan::Message m;
-            m.opcode = kPfCheckBatch;
-            m.ptr = desc;
-            m.arg0 = recs.size();
-            if (send_to(kPfName, m, ctx)) return;
-            hdr_pool_->release(desc);
-          }
-          // PF down or pool exhausted: per-query messages; unanswered
-          // queries are repeated on PF's restart (resubmit_pf_pending).
-          for (const auto& [q, cookie] : qs) {
-            send_to(kPfName, make_pf_check(cookie, q), ctx);
-          }
+          for (const auto& [q, cookie] : qs) recs.push_back({cookie, q});
+          chan::Message m;
+          m.opcode = kPfCheck;
+          // If PF is down the queries are repeated on its restart
+          // (resubmit_pf_pending); nothing is ever lost here (Section V-D).
+          send_records<WirePfQuery>(
+              hdr_pool_, m, recs,
+              [this](const chan::Message& msg) {
+                return send_to(kPfName, msg, cur());
+              },
+              [](std::size_t) {});
         };
   }
+  e.deliver = [this](std::uint8_t protocol,
+                     std::span<const net::L4Packet> segs) {
+    send_l4(protocol, segs);
+  };
   e.seg_done = [this](std::uint64_t l4_cookie, bool sent) {
     auto it = l4_reqs_.find(l4_cookie);
     if (it == l4_reqs_.end()) return;
@@ -285,8 +250,10 @@ void IpServer::on_message(const std::string& from, const chan::Message& m,
       return;
     }
     case kPfVerdict:
-      charge(ctx, 120);
-      engine_->pf_verdict(m.req_id, m.arg0 != 0);
+      for (const auto& v : decode_records<WirePfVerdict>(*env().pools, m)) {
+        charge(ctx, 120);
+        engine_->pf_verdict(v.cookie, v.allow != 0);
+      }
       return;
     case kDrvTxDone: {
       charge(ctx, 150);
@@ -299,24 +266,15 @@ void IpServer::on_message(const std::string& from, const chan::Message& m,
       return;
     }
     case kDrvRx: {
-      charge(ctx, costs.ip_packet_proc);
-      const int ifindex = ifindex_of(from);
-      auto it = posted_.find(ifindex);
-      if (it != posted_.end() && it->second > 0) --it->second;
-      if (!cfg_.csum_offload) charge(ctx, costs.checksum_cost(m.ptr.length));
-      engine_->input(ifindex, m.ptr);
-      post_rx_buffers(ifindex, ctx);  // keep the device fed
-      return;
-    }
-    case kDrvRxBurst: {
-      // One dequeue for the whole coalesced burst; the per-frame protocol
-      // work is still charged per frame.
-      const int ifindex = ifindex_of(from);
-      const auto recs = parse_records<WireRxFrame>(env().pools->read(m.ptr));
-      auto it = posted_.find(ifindex);
+      // The frames of one driver interrupt — or a frame a transport's fast
+      // path handed back, whose buffer credit the driver already granted.
+      // One dequeue per message; the per-frame protocol work is still
+      // charged per frame.
+      const bool from_driver = from.rfind("drv", 0) == 0;
+      const int ifindex = static_cast<int>(m.arg1);
+      auto it = from_driver ? posted_.find(ifindex) : posted_.end();
       std::vector<chan::RichPtr> frames;
-      frames.reserve(recs.size());
-      for (const auto& rec : recs) {
+      for (const auto& rec : decode_records<WireRxFrame>(*env().pools, m)) {
         charge(ctx, costs.ip_packet_proc);
         if (!cfg_.csum_offload) {
           charge(ctx, costs.checksum_cost(rec.frame.length));
@@ -324,13 +282,12 @@ void IpServer::on_message(const std::string& from, const chan::Message& m,
         if (it != posted_.end() && it->second > 0) --it->second;
         frames.push_back(rec.frame);
       }
-      env().pools->release(m.ptr);  // burst descriptor back to the driver
       if (cfg_.gro) {
         engine_->input_burst(ifindex, frames);
       } else {
         for (const auto& f : frames) engine_->input(ifindex, f);
       }
-      post_rx_buffers(ifindex, ctx);
+      if (from_driver) post_rx_buffers(ifindex, ctx);  // keep the device fed
       return;
     }
     case kDrvRxCredit: {
@@ -344,26 +301,6 @@ void IpServer::on_message(const std::string& from, const chan::Message& m,
         it->second -= std::min<int>(it->second, static_cast<int>(m.arg0));
       }
       post_rx_buffers(ifindex, ctx);
-      return;
-    }
-    case kFastFallback: {
-      // A transport's fast path handed a frame back: run the classic input
-      // path verbatim.  The buffer credit was already granted by the
-      // driver, so posted_ bookkeeping stays untouched.
-      charge(ctx, costs.ip_packet_proc);
-      const int ifindex = static_cast<int>(m.arg1);
-      if (!cfg_.csum_offload) charge(ctx, costs.checksum_cost(m.ptr.length));
-      engine_->input(ifindex, m.ptr);
-      return;
-    }
-    case kPfVerdictBatch: {
-      const auto recs =
-          parse_records<WirePfVerdict>(env().pools->read(m.ptr));
-      for (const auto& rec : recs) {
-        charge(ctx, 120);
-        engine_->pf_verdict(rec.cookie, rec.allow != 0);
-      }
-      env().pools->release(m.ptr);  // verdict array back to PF's pool
       return;
     }
     case kDrvLink:
@@ -500,10 +437,10 @@ void IpServer::on_peer_down(const std::string& peer, sim::Context& ctx) {
     if (peer != tcp_shard_name(s)) continue;
     if (rx_pool_ != nullptr) {
       // The replica died and its queues were reset: frames an in-flight
-      // kL4RxAgg or kDrvRxFast still referenced would strand without
-      // this.  Frames the replica had already unpacked were note_returned
-      // (and its rcvq was drained by its own teardown path), so only the
-      // dead messages' loans are on the ledger.  This runs before the
+      // packed kL4Rx or a driver's kDrvRx still referenced would strand
+      // without this.  Frames the replica had already unpacked were
+      // note_returned (and its rcvq was drained by its own teardown path),
+      // so only the dead messages' loans are on the ledger.  This runs before the
       // restarted incarnation can receive anything, so no live loan is
       // touched.
       rx_pool_->reclaim(transport_borrower('T', s));
@@ -514,7 +451,7 @@ void IpServer::on_peer_down(const std::string& peer, sim::Context& ctx) {
     if (peer != udp_shard_name(s)) continue;
     if (rx_pool_ != nullptr) {
       // UDP replicas borrow frames too once the RSS fast path posts
-      // kDrvRxFast straight to them; same reclaim discipline.
+      // kDrvRx straight to them; same reclaim discipline.
       rx_pool_->reclaim(transport_borrower('U', s));
     }
     return;

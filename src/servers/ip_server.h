@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -30,9 +31,9 @@ class IpServer : public Server {
     int tcp_shards = 1;
     int udp_shards = 1;
     // Receive-side aggregation at the IP -> TCP boundary: merge in-order
-    // same-flow TCP segments of a coalesced RX burst into one kL4RxAgg
+    // same-flow TCP segments of a coalesced RX burst into one kL4Rx
     // super-segment.  Off by default; meaningful only when the NIC
-    // coalesces (kDrvRxBurst is the only producer of bursts).
+    // coalesces (only a coalesced interrupt carries more than one frame).
     bool gro = false;
     // RSS queue pairs per NIC.  IP posts rx_buffers_per_nic buffers per
     // queue so every ring stays fed, and fast-path frames consumed by the
@@ -66,8 +67,9 @@ class IpServer : public Server {
   // The transport replica an inbound packet is steered to: a 4-tuple hash
   // over (src, dst) and the transport ports read out of the frame.
   int steer(const net::L4Packet& pkt, int shards);
-  // Sends one frame up to its transport replica (the kL4Rx leg).
-  void deliver_l4(char proto, net::L4Packet&& pkt);
+  // Sends one frame or one GRO aggregate up to its transport replica (the
+  // kL4Rx leg).
+  void send_l4(std::uint8_t protocol, std::span<const net::L4Packet> segs);
 
   Config cfg_;
   std::unique_ptr<net::IpEngine> engine_;

@@ -94,54 +94,26 @@ void PfServer::on_message(const std::string& from, const chan::Message& m,
                           sim::Context& ctx) {
   switch (m.opcode) {
     case kPfCheck: {
-      const net::PfQuery q = parse_pf_check(m);
-      const auto verdict = engine_->check(q);
-      charge(ctx, sim().costs().pf_packet_proc +
-                      verdict.rules_walked * sim().costs().pf_rule_cost);
-      chan::Message r;
-      r.opcode = kPfVerdict;
-      r.req_id = m.req_id;
-      r.arg0 = verdict.action == net::PfAction::Pass ? 1 : 0;
-      // The verdict goes back to whoever asked: historically always IP,
-      // now also any transport shard running the RSS fast path.
-      send_to(from, r, ctx);
-      return;
-    }
-    case kPfCheckBatch: {
-      // Every query of one RX burst in one message, and every verdict in
-      // one reply: the rule/state walk is still charged per query, the IPC
-      // is paid once per burst on both legs.
-      const auto recs = parse_records<WirePfQuery>(env().pools->read(m.ptr));
-      env().pools->release(m.ptr);  // IP's query array, consumed
+      // One query, or every query of one RX burst: the rule/state walk is
+      // charged per query, the IPC is paid once per message on both legs.
+      const auto queries = decode_records<WirePfQuery>(*env().pools, m);
       std::vector<WirePfVerdict> verdicts;
-      verdicts.reserve(recs.size());
-      for (const auto& rec : recs) {
+      verdicts.reserve(queries.size());
+      for (const auto& rec : queries) {
         const auto verdict = engine_->check(rec.query);
         charge(ctx, sim().costs().pf_packet_proc +
                         verdict.rules_walked * sim().costs().pf_rule_cost);
         verdicts.push_back(WirePfVerdict{
             rec.cookie, verdict.action == net::PfAction::Pass ? 1u : 0u, 0});
       }
-      if (verdicts.empty()) return;
-      chan::RichPtr desc =
-          pack_records<WirePfVerdict>(*pool_, verdicts);
-      if (desc.valid()) {
-        chan::Message r;
-        r.opcode = kPfVerdictBatch;
-        r.ptr = desc;
-        r.arg0 = verdicts.size();
-        if (send_to(kIpName, r, ctx)) return;
-        pool_->release(desc);
-      }
-      // Pool exhausted or IP unreachable: per-verdict replies (IP applies
-      // them one by one; unanswered queries are resubmitted on restarts).
-      for (const auto& v : verdicts) {
-        chan::Message r;
-        r.opcode = kPfVerdict;
-        r.req_id = v.cookie;
-        r.arg0 = v.allow;
-        send_to(kIpName, r, ctx);
-      }
+      // The verdicts go back to whoever asked: IP, or a transport shard
+      // running the RSS fast path.
+      chan::Message r;
+      r.opcode = kPfVerdict;
+      send_records<WirePfVerdict>(
+          pool_, r, verdicts,
+          [&](const chan::Message& msg) { return send_to(from, msg, ctx); },
+          [](std::size_t) {});
       return;
     }
     case kWorkProbe: {

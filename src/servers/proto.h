@@ -9,8 +9,16 @@
 //   IP <-> PF              : kPfCheck / kPfVerdict
 //   IP <-> DRV             : kDrvTx(+Done), kDrvRx, kDrvRxBuf, kDrvLink
 //   IP -> TCP/UDP          : kL4Rx / kL4RxDone back (receive-pool frees)
+//   DRV -> TCP/UDP shard   : kDrvRx (RSS fast path; kDrvRxCredit to IP),
+//                            and kDrvRx back to IP for a frame the shard
+//                            cannot judge
 //   * <-> STORE            : kStorePut/Get/Reply/Release (state recovery)
 //   PF -> TCP/UDP          : kConnList / kConnListReply (state rebuild)
+//
+// The four receive opcodes (kDrvRx, kL4Rx, kPfCheck, kPfVerdict) each carry
+// one or more records: one record travels inline in the message, two or
+// more are packed into a chunk of the sender's pool (see "the receive
+// message format" below).
 #pragma once
 
 #include <algorithm>
@@ -38,45 +46,38 @@ enum Opcode : std::uint16_t {
   kIpTxDone,      // req_id=l4 cookie; arg0=sent(0/1)
 
   // --- IP -> transport ---------------------------------------------------------
-  kL4Rx = 20,     // ptr=frame; arg0=l4_offset<<16|l4_length; arg1=src<<32|dst
+  kL4Rx = 20,     // WireRxFrame records: one frame, or the members of one
+                  // GRO super-segment (consecutive in-order same-4-tuple
+                  // TCP segments); arg1=src<<32|dst.  The transport
+                  // charges its per-segment cost once per message and
+                  // answers with one kL4RxDone per frame as it consumes it.
   kL4RxDone,      // ptr=frame (release into IP's receive pool)
-  kL4RxAgg,       // ptr=packed WireRxFrame array (one GRO super-segment:
-                  // consecutive in-order same-4-tuple TCP segments);
-                  // arg0=frame count; arg1=src<<32|dst.  The transport
-                  // charges its per-segment cost once for the aggregate and
-                  // answers with one kL4RxDone per member frame as it
-                  // consumes them.
 
   // --- IP <-> PF -----------------------------------------------------------------
-  kPfCheck = 30,  // req_id=cookie; arg0=src<<32|dst; arg1=sport<<32|dport;
-                  // arg2=dir<<16|proto<<8|tcp_flags
-  kPfVerdict,     // req_id=cookie; arg0=allow(0/1)
-  kPfCheckBatch,  // ptr=packed WirePfQuery array; arg0=count.  All verdicts
-                  // of one RX burst travel as one message pair.
-  kPfVerdictBatch,  // ptr=packed WirePfVerdict array; arg0=count
+  kPfCheck = 30,  // WirePfQuery records (all queries of one RX burst
+                  // travel together); PF answers the sender with kPfVerdict
+  kPfVerdict,     // WirePfVerdict records
   kPfCacheInval,    // PF -> transports broadcast: shard-local verdict caches
                     // are stale (rule change or PF restart); no payload.
 
   // --- IP <-> drivers -------------------------------------------------------------
   kDrvTx = 40,    // ptr=packed chain; req_id=cookie
   kDrvTxDone,     // req_id=cookie; arg0=ok(0/1)
-  kDrvRx,         // ptr=received frame (length = frame length)
+  kDrvRx,         // WireRxFrame records (frame length = record length);
+                  // arg1=ifindex.  Driver -> IP: the frames of one
+                  // interrupt (a coalesced burst crosses as one message;
+                  // the per-frame protocol costs still apply, the
+                  // per-frame IPC costs do not).  Driver -> transport
+                  // shard (RSS fast path): the frames skip the central IP
+                  // server; the shard runs the hoisted per-shard IP RX
+                  // context on them.  Shard -> IP: a frame the fast path
+                  // cannot handle (not for our address, ICMP, ...)
+                  // rejoins the classic IP input path.
   kDrvRxBuf,      // ptr=fresh receive buffer for the device
   kDrvLink,       // arg0=up(0/1)
-  kDrvRxBurst,    // ptr=packed WireRxFrame array (one coalesced interrupt);
-                  // arg0=frame count.  IP dequeues once per burst; the
-                  // per-frame protocol costs still apply, the per-frame IPC
-                  // costs do not.
-  kDrvRxFast,     // driver -> transport shard (RSS fast path): ptr=packed
-                  // WireRxFrame array; arg0=frame count; arg1=ifindex.  The
-                  // frames skip the central IP server; the shard runs the
-                  // hoisted per-shard IP RX context on them.
   kDrvRxCredit,   // driver -> IP: arg0=buffers consumed by fast-path frames
                   // (IP reposts; the frames themselves never passed through
-                  // IP, so kDrvRx/kDrvRxBurst bookkeeping does not fire).
-  kFastFallback,  // transport -> IP: ptr=frame; arg1=ifindex.  A frame the
-                  // per-shard fast path cannot handle (not for our address,
-                  // malformed, ICMP, ...) rejoins the classic IP input path.
+                  // IP, so its kDrvRx bookkeeping does not fire).
 
   // --- socket control (apps / SYSCALL -> transports) --------------------------------
   kSockOpen = 60,   // arg0=reply tag
@@ -161,40 +162,27 @@ inline net::Ipv4Addr unpack_lo(std::uint64_t v) {
   return net::Ipv4Addr{static_cast<std::uint32_t>(v)};
 }
 
-inline chan::Message make_pf_check(std::uint64_t cookie,
-                                   const net::PfQuery& q) {
-  chan::Message m;
-  m.opcode = kPfCheck;
-  m.req_id = cookie;
-  m.arg0 = pack_addrs(q.src, q.dst);
-  m.arg1 = (static_cast<std::uint64_t>(q.sport) << 32) | q.dport;
-  m.arg2 = (static_cast<std::uint64_t>(static_cast<std::uint8_t>(q.dir))
-            << 16) |
-           (static_cast<std::uint64_t>(q.protocol) << 8) | q.tcp_flags;
-  return m;
-}
-
-inline net::PfQuery parse_pf_check(const chan::Message& m) {
-  net::PfQuery q;
-  q.src = unpack_hi(m.arg0);
-  q.dst = unpack_lo(m.arg0);
-  q.sport = static_cast<std::uint16_t>(m.arg1 >> 32);
-  q.dport = static_cast<std::uint16_t>(m.arg1);
-  q.dir = static_cast<net::PfDir>((m.arg2 >> 16) & 0xff);
-  q.protocol = static_cast<std::uint8_t>((m.arg2 >> 8) & 0xff);
-  q.tcp_flags = static_cast<std::uint8_t>(m.arg2 & 0xff);
-  return q;
-}
-
-// --- receive-side batching (kDrvRxBurst / kL4RxAgg / kPfCheckBatch) ----------------
+// --- the receive message format (kDrvRx / kL4Rx / kPfCheck / kPfVerdict) -----------
 //
 // The RX symmetric half of TSO: the NIC coalesces receive interrupts into
-// bursts, the burst crosses each channel as ONE message referencing a packed
-// array of per-frame records, and IP merges in-order same-flow TCP segments
-// of a burst into one aggregate for the transport.  Record arrays are packed
-// into a chunk of the sender's staging pool; the consumer releases the
-// descriptor chunk through the pool registry once it has unpacked it (the
-// modelled done-report of a ring slot).
+// bursts, IP merges in-order same-flow TCP segments of a burst into one
+// aggregate for the transport, and a burst's PF queries travel together —
+// each crossing its channel as ONE message.  A per-frame message is simply
+// the one-record case of the same format:
+//
+//  - one record travels inline in the message (put_inline/get_inline), so
+//    a per-frame hop allocates nothing;
+//  - two or more are packed as a record array into a chunk of the sender's
+//    staging pool: ptr = the array, arg0 = record count, kMsgPacked set.
+//    The consumer releases the descriptor chunk through the pool registry
+//    once it has unpacked it (the modelled done-report of a ring slot);
+//  - when the sender's pool is exhausted, each record goes as its own
+//    inline message (drop/defer is for full queues, not full pools).
+//
+// Fields a record does not carry (arg1 of kDrvRx/kL4Rx) belong to the
+// message and mean the same in both forms.
+
+inline constexpr std::uint16_t kMsgPacked = 0x8000;
 
 struct WireRxFrame {
   chan::RichPtr frame;          // whole frame chunk; length = frame bytes
@@ -217,31 +205,104 @@ struct WirePfVerdict {
 };
 static_assert(std::is_trivially_copyable_v<WirePfVerdict>);
 
-// Packs a trivially-copyable record array into a chunk of `pool`; null on
-// pool exhaustion (drop/defer, never block).
-template <typename Rec>
-inline chan::RichPtr pack_records(chan::Pool& pool, std::span<const Rec> recs) {
-  const std::uint32_t bytes =
-      static_cast<std::uint32_t>(recs.size() * sizeof(Rec));
-  chan::RichPtr chunk = pool.alloc(bytes);
-  if (!chunk.valid()) return chunk;
-  auto view = pool.write_view(chunk);
-  std::memcpy(view.data(), recs.data(), bytes);
-  return chunk;
+// Inline form of a frame record: ptr=frame; arg0=l4_offset<<16|l4_length.
+inline void put_inline(chan::Message& m, const WireRxFrame& r) {
+  m.ptr = r.frame;
+  m.arg0 = (static_cast<std::uint64_t>(r.l4_offset) << 16) | r.l4_length;
+}
+inline void get_inline(const chan::Message& m, WireRxFrame& r) {
+  r.frame = m.ptr;
+  r.l4_offset = static_cast<std::uint16_t>(m.arg0 >> 16);
+  r.l4_length = static_cast<std::uint16_t>(m.arg0);
 }
 
+// Inline form of a PF query: req_id=cookie; arg0=src<<32|dst;
+// arg1=sport<<32|dport; arg2=dir<<16|proto<<8|tcp_flags.
+inline void put_inline(chan::Message& m, const WirePfQuery& r) {
+  const net::PfQuery& q = r.query;
+  m.req_id = r.cookie;
+  m.arg0 = pack_addrs(q.src, q.dst);
+  m.arg1 = (static_cast<std::uint64_t>(q.sport) << 32) | q.dport;
+  m.arg2 = (static_cast<std::uint64_t>(static_cast<std::uint8_t>(q.dir))
+            << 16) |
+           (static_cast<std::uint64_t>(q.protocol) << 8) | q.tcp_flags;
+}
+inline void get_inline(const chan::Message& m, WirePfQuery& r) {
+  net::PfQuery& q = r.query;
+  r.cookie = m.req_id;
+  q.src = unpack_hi(m.arg0);
+  q.dst = unpack_lo(m.arg0);
+  q.sport = static_cast<std::uint16_t>(m.arg1 >> 32);
+  q.dport = static_cast<std::uint16_t>(m.arg1);
+  q.dir = static_cast<net::PfDir>((m.arg2 >> 16) & 0xff);
+  q.protocol = static_cast<std::uint8_t>((m.arg2 >> 8) & 0xff);
+  q.tcp_flags = static_cast<std::uint8_t>(m.arg2 & 0xff);
+}
+
+// Inline form of a PF verdict: req_id=cookie; arg0=allow(0/1).
+inline void put_inline(chan::Message& m, const WirePfVerdict& r) {
+  m.req_id = r.cookie;
+  m.arg0 = r.allow;
+}
+inline void get_inline(const chan::Message& m, WirePfVerdict& r) {
+  r.cookie = m.req_id;
+  r.allow = static_cast<std::uint32_t>(m.arg0);
+}
+
+// Sends `recs` (at least one) as receive messages based on `m`: one inline
+// message, one packed message from `pool`, or — pool exhausted or absent —
+// one inline message per record.  `send(msg)` posts one message and says
+// whether the peer took it; `refused(i)` runs for every record i whose
+// message was refused (a packed message takes all of its records along).
+template <typename Rec, typename SendFn, typename RefusedFn>
+inline void send_records(chan::Pool* pool, const chan::Message& m,
+                         std::span<const Rec> recs, SendFn&& send,
+                         RefusedFn&& refused) {
+  if (recs.size() > 1 && pool != nullptr) {
+    const auto bytes = static_cast<std::uint32_t>(recs.size() * sizeof(Rec));
+    chan::RichPtr desc = pool->alloc(bytes);
+    if (desc.valid()) {
+      std::memcpy(pool->write_view(desc).data(), recs.data(), bytes);
+      chan::Message packed = m;
+      packed.flags |= kMsgPacked;
+      packed.ptr = desc;
+      packed.arg0 = recs.size();
+      if (send(packed)) return;
+      pool->release(desc);
+      for (std::size_t i = 0; i < recs.size(); ++i) refused(i);
+      return;
+    }
+  }
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    chan::Message one = m;
+    put_inline(one, recs[i]);
+    if (!send(one)) refused(i);
+  }
+}
+
+// The records of a received message.  A packed descriptor chunk goes back
+// to its owner here, once its records are copied out.
 template <typename Rec>
-inline std::vector<Rec> parse_records(std::span<const std::byte> bytes) {
+inline std::vector<Rec> decode_records(chan::PoolRegistry& pools,
+                                       const chan::Message& m) {
+  if ((m.flags & kMsgPacked) == 0) {
+    std::vector<Rec> one(1);
+    get_inline(m, one.front());
+    return one;
+  }
+  const auto bytes = pools.read(m.ptr);
   std::vector<Rec> recs(bytes.size() / sizeof(Rec));
   std::memcpy(recs.data(), bytes.data(), recs.size() * sizeof(Rec));
+  pools.release(m.ptr);
   return recs;
 }
 
 // Loan-ledger borrower id of a transport replica.  Frames referenced by an
-// in-flight kL4RxAgg message are on loan from IP's receive pool to the
-// target replica; if the replica dies with the message still queued, IP
-// reclaims the loans on its restart (the rcvq frames the replica had
-// already accepted are released by its own teardown path instead).  The
+// in-flight packed kL4Rx message, or by any kDrvRx a driver posted straight
+// to the replica, are on loan from IP's receive pool to the target replica;
+// if the replica dies with the message still queued, IP reclaims the loans
+// on its restart (the rcvq frames the replica had already accepted are
+// released by its own teardown path instead).  The
 // high bit keeps these ids clear of the application borrower ids the node
 // hands out sequentially.
 inline constexpr std::uint32_t transport_borrower(char proto, int shard) {

@@ -81,25 +81,34 @@ void StackServer::build_engines() {
     drv_descs_.emplace(cookie, desc);
   };
   if (pf_) {
-    // In-process packet filter: immediate verdict, no hop.
-    ie.pf_check = [this, &costs](const net::PfQuery& q,
-                                 std::uint64_t cookie) {
-      const auto verdict = pf_->check(q);
-      charge(cur(), costs.pf_packet_proc +
-                        verdict.rules_walked * costs.pf_rule_cost);
-      ip_->pf_verdict(cookie, verdict.action == net::PfAction::Pass);
-    };
+    // In-process packet filter: immediate verdicts, no hop.
+    ie.pf_check =
+        [this, &costs](
+            std::span<const std::pair<net::PfQuery, std::uint64_t>> qs) {
+          for (const auto& [q, cookie] : qs) {
+            const auto verdict = pf_->check(q);
+            charge(cur(), costs.pf_packet_proc +
+                              verdict.rules_walked * costs.pf_rule_cost);
+            ip_->pf_verdict(cookie, verdict.action == net::PfAction::Pass);
+          }
+        };
   }
-  ie.deliver_tcp = [this, &costs](net::L4Packet&& pkt) {
-    charge(cur(), pkt.l4_length > net::kTcpHeaderLen ? costs.tcp_segment_proc
-                                                     : costs.tcp_ack_proc);
-    charge(cur(), env().knobs.legacy_per_packet);
-    tcp_->input(std::move(pkt));
-  };
-  ie.deliver_udp = [this, &costs](net::L4Packet&& pkt) {
-    charge(cur(), costs.udp_packet_proc);
-    charge(cur(), env().knobs.legacy_per_packet);
-    udp_->input(std::move(pkt));
+  ie.deliver = [this, &costs](std::uint8_t protocol,
+                              std::span<const net::L4Packet> segs) {
+    const bool udp = protocol == net::kProtoUdp;
+    for (const auto& pkt : segs) {
+      // TCP data segments cost more than pure ACKs; approximate by length.
+      charge(cur(), udp ? costs.udp_packet_proc
+                    : pkt.l4_length > net::kTcpHeaderLen
+                        ? costs.tcp_segment_proc
+                        : costs.tcp_ack_proc);
+      charge(cur(), env().knobs.legacy_per_packet);
+      if (udp) {
+        udp_->input(net::L4Packet{pkt});
+      } else {
+        tcp_->input(net::L4Packet{pkt});
+      }
+    }
   };
   ie.seg_done = [this](std::uint64_t l4_cookie, bool sent) {
     if (l4_cookie & kUdpTag) {
@@ -176,18 +185,22 @@ void StackServer::install_inline_nic_handlers() {
           },
           100);
     });
-    nic->set_rx([this, inc, ifindex](chan::RichPtr buf, std::uint32_t len) {
+    nic->set_rx_burst([this, inc, ifindex](
+                          int, std::vector<drv::SimNic::RxCompletion>&& burst) {
       if (incarnation() != inc) return;
       post_control(
-          [this, ifindex, buf, len](sim::Context& ctx) {
-            charge(ctx, sim().costs().drv_packet_proc +
-                            sim().costs().ip_packet_proc);
+          [this, ifindex, burst = std::move(burst)](sim::Context& ctx) {
+            charge(ctx, (sim().costs().drv_packet_proc +
+                         sim().costs().ip_packet_proc) *
+                            static_cast<sim::Cycles>(burst.size()));
             if (ip_ == nullptr) return;
-            chan::RichPtr frame = buf;
-            frame.length = len;
             int& posted = posted_[ifindex];
-            if (posted > 0) --posted;
-            ip_->input(ifindex, frame);
+            for (const auto& c : burst) {
+              chan::RichPtr frame = c.buffer;
+              frame.length = c.len;
+              if (posted > 0) --posted;
+              ip_->input(ifindex, frame);
+            }
             post_rx_buffers(ifindex, ctx);
           },
           100);
@@ -405,25 +418,13 @@ void StackServer::on_message(const std::string& from, const chan::Message& m,
       return;
     }
     case kDrvRx: {
-      charge(ctx, costs.ip_packet_proc + env().knobs.legacy_per_packet);
-      if (!cfg_.csum_offload) charge(ctx, costs.checksum_cost(m.ptr.length));
-      const int ifindex = ifindex_of(from);
-      auto it = posted_.find(ifindex);
-      if (it != posted_.end() && it->second > 0) --it->second;
-      if (ip_) ip_->input(ifindex, m.ptr);
-      post_rx_buffers(ifindex, ctx);
-      return;
-    }
-    case kDrvRxBurst: {
-      // A coalesced burst from a channel-attached driver.  The combined
-      // stack has no further hop to aggregate for, so each frame takes the
-      // classic in-process path; the burst still amortized the driver's
+      // The frames of one driver interrupt.  The combined stack has no
+      // further hop to aggregate for, so each frame takes the classic
+      // in-process path; a coalesced burst still amortized the driver's
       // kernel message and this server's wakeup.
-      const int ifindex = ifindex_of(from);
-      const auto recs = parse_records<WireRxFrame>(env().pools->read(m.ptr));
-      env().pools->release(m.ptr);
+      const int ifindex = static_cast<int>(m.arg1);
       auto it = posted_.find(ifindex);
-      for (const auto& rec : recs) {
+      for (const auto& rec : decode_records<WireRxFrame>(*env().pools, m)) {
         charge(ctx, costs.ip_packet_proc + env().knobs.legacy_per_packet);
         if (!cfg_.csum_offload) {
           charge(ctx, costs.checksum_cost(rec.frame.length));

@@ -10,10 +10,9 @@ namespace newtos::servers {
 TcpServer::TcpServer(NodeEnv* env, sim::SimCore* core, net::TcpOptions opts,
                      std::function<net::Ipv4Addr(net::Ipv4Addr)> src_for,
                      int shard, int shard_count)
-    : Server(env, tcp_shard_name(shard), core),
+    : TransportServer(env, core, 'T', shard),
       opts_(opts),
       src_for_(std::move(src_for)),
-      shard_(shard),
       shard_count_(shard_count),
       siblings_(transport_shard_siblings('T', shard, shard_count)) {}
 
@@ -100,53 +99,19 @@ void TcpServer::build_engine() {
   engine_ = std::make_unique<net::TcpEngine>(std::move(e), opts_);
 }
 
-void TcpServer::enable_rx_fastpath(net::IpFastPath::Config cfg,
-                                   std::vector<std::string> driver_names) {
-  rx_fastpath_ = true;
-  fastpath_cfg_ = std::move(cfg);
-  fastpath_drivers_ = std::move(driver_names);
-}
-
-void TcpServer::build_fastpath() {
-  net::IpFastPath::Env fe;
-  fe.pools = env().pools;
-  fe.deliver = [this](std::uint8_t, net::L4Packet&& pkt) {
-    // Same per-segment charging as the kL4Rx leg: data segments cost more
-    // than pure ACKs.
-    if (in_handler()) {
-      charge(cur(), pkt.l4_length > net::kTcpHeaderLen
-                        ? sim().costs().tcp_segment_proc
-                        : sim().costs().tcp_ack_proc);
-    }
-    engine_->input(std::move(pkt));
-  };
-  fe.deliver_agg = [this](net::L4AggPacket&& agg) {
-    // The kL4RxAgg mirror: the connection machinery is charged once for the
-    // whole GRO aggregate.
-    if (in_handler()) charge(cur(), sim().costs().tcp_segment_proc);
-    engine_->input_agg(std::move(agg.segs));
-  };
-  fe.pf_check = [this](const net::PfQuery& q, std::uint64_t cookie) {
-    send_to(kPfName, make_pf_check(cookie, q), cur());
-    // PF down: the query stays pending; resubmit_pf on its return repeats
-    // it and the held frames drain then.
-  };
-  fe.fallback = [this](int ifindex, const chan::RichPtr& frame) {
-    chan::Message m;
-    m.opcode = kFastFallback;
-    m.ptr = frame;
-    m.arg1 = static_cast<std::uint64_t>(ifindex);
-    if (!send_to(kIpName, m, cur())) {
-      // IP is down: nobody is left to judge the frame — receive pool.
-      chan::Pool* p = env().pools->find(frame.pool);
-      if (p != nullptr) p->release(frame);
-    }
-  };
-  fe.release = [this](const chan::RichPtr& frame) {
-    chan::Pool* p = env().pools->find(frame.pool);
-    if (p != nullptr) p->release(frame);
-  };
-  fastpath_ = std::make_unique<net::IpFastPath>(std::move(fe), fastpath_cfg_);
+void TcpServer::deliver_l4(std::span<const net::L4Packet> segs) {
+  const auto& costs = sim().costs();
+  if (segs.size() > 1) {
+    if (in_handler()) charge(cur(), costs.tcp_segment_proc);
+    engine_->input_agg({segs.begin(), segs.end()});
+    return;
+  }
+  if (in_handler()) {
+    charge(cur(), segs.front().l4_length > net::kTcpHeaderLen
+                      ? costs.tcp_segment_proc
+                      : costs.tcp_ack_proc);
+  }
+  engine_->input(net::L4Packet{segs.front()});
 }
 
 void TcpServer::start(bool restart) {
@@ -167,14 +132,9 @@ void TcpServer::start(bool restart) {
     expose_in_queue(kRsName, 64);
     connect_out(kRsName);
   }
-  if (rx_fastpath_) {
-    // One RX queue per driver homes on this shard: the drivers post those
-    // frames here directly (kDrvRxFast), so each needs an in-queue.
-    for (const auto& d : fastpath_drivers_) expose_in_queue(d, 512);
-  }
+  start_rx_fastpath();
   build_writer();
   build_engine();
-  if (rx_fastpath_) build_fastpath();
   if (restart) {
     post_control([this](sim::Context& ctx) {
       if (!store_get(kKeyTcpListeners, ctx)) announce(true);
@@ -192,7 +152,7 @@ void TcpServer::on_killed() {
   // and the checkpoint pages, ready for the next incarnation to re-adopt.
   if (engine_ && opts_.checkpoint) engine_->park_checkpointed();
   writer_.reset();  // bookkeeping dies with the process; the pages survive
-  fastpath_.reset();  // held frames (pending PF verdicts) back to the pool
+  stop_rx_fastpath();
   drop_engine(engine_);
   tx_descs_.clear();
   store_gets_.clear();
@@ -332,92 +292,8 @@ void TcpServer::handle_sock_request(
 
 void TcpServer::on_message(const std::string& from, const chan::Message& m,
                            sim::Context& ctx) {
+  if (on_rx_message(m, ctx)) return;
   switch (m.opcode) {
-    case kL4Rx: {
-      // Data segments cost more than pure ACKs; approximate by length.
-      const std::uint16_t l4_len = static_cast<std::uint16_t>(m.arg0);
-      charge(ctx, l4_len > net::kTcpHeaderLen
-                      ? sim().costs().tcp_segment_proc
-                      : sim().costs().tcp_ack_proc);
-      net::L4Packet pkt;
-      pkt.frame = m.ptr;
-      pkt.l4_offset = static_cast<std::uint16_t>(m.arg0 >> 16);
-      pkt.l4_length = l4_len;
-      pkt.src = unpack_hi(m.arg1);
-      pkt.dst = unpack_lo(m.arg1);
-      engine_->input(std::move(pkt));
-      return;
-    }
-    case kL4RxAgg: {
-      // A GRO super-segment: the connection machinery is charged ONCE for
-      // the whole aggregate — the receive-side mirror of TSO's per-
-      // superframe charge on line 47.
-      charge(ctx, sim().costs().tcp_segment_proc);
-      const auto recs = parse_records<WireRxFrame>(env().pools->read(m.ptr));
-      std::vector<net::L4Packet> segs;
-      segs.reserve(recs.size());
-      for (const auto& rec : recs) {
-        // The frame reference left IP's custody when the message was sent;
-        // it is back in ours now — return the loan before processing, so a
-        // crash from here on is covered by the engine teardown path, not
-        // the ledger.
-        chan::Pool* p = env().pools->find(rec.frame.pool);
-        if (p != nullptr) {
-          p->note_return(rec.frame, transport_borrower('T', shard_));
-        }
-        net::L4Packet pkt;
-        pkt.frame = rec.frame;
-        pkt.l4_offset = rec.l4_offset;
-        pkt.l4_length = rec.l4_length;
-        pkt.src = unpack_hi(m.arg1);
-        pkt.dst = unpack_lo(m.arg1);
-        segs.push_back(pkt);
-      }
-      env().pools->release(m.ptr);  // descriptor chunk back to IP's pool
-      engine_->input_agg(std::move(segs));
-      return;
-    }
-    case kDrvRxFast: {
-      // RSS fast path: a queue's worth of frames straight from the driver.
-      // The IP work those frames skipped — validation, GRO, the PF
-      // consultation — is paid here, on this shard's core, which is the
-      // whole point: it spreads across replicas instead of serializing on
-      // the central IP core.
-      const auto recs = parse_records<WireRxFrame>(env().pools->read(m.ptr));
-      charge(ctx, sim().costs().ip_packet_proc *
-                      static_cast<sim::Cycles>(recs.size()));
-      std::vector<chan::RichPtr> frames;
-      frames.reserve(recs.size());
-      for (const auto& rec : recs) {
-        // Return the driver's loan before processing (the kL4RxAgg
-        // discipline): from here on the teardown path covers the frames.
-        chan::Pool* p = env().pools->find(rec.frame.pool);
-        if (p != nullptr) {
-          p->note_return(rec.frame, transport_borrower('T', shard_));
-        }
-        frames.push_back(rec.frame);
-      }
-      env().pools->release(m.ptr);  // driver's descriptor chunk
-      if (fastpath_) {
-        fastpath_->input_burst(static_cast<int>(m.arg1), frames);
-      } else {
-        for (const auto& f : frames) {
-          chan::Pool* p = env().pools->find(f.pool);
-          if (p != nullptr) p->release(f);
-        }
-      }
-      return;
-    }
-    case kPfVerdict:
-      charge(ctx, 120);
-      if (fastpath_) fastpath_->pf_verdict(m.req_id, m.arg0 != 0);
-      return;
-    case kPfCacheInval:
-      // The rule set changed (or PF restarted): every cached verdict is
-      // stale.  Pending queries were answered under submission order, so
-      // held frames still drain correctly.
-      if (fastpath_) fastpath_->invalidate_cache();
-      return;
     case kIpTxDone: {
       charge(ctx, sim().costs().request_db_op);
       auto it = tx_descs_.find(m.req_id);
@@ -643,12 +519,7 @@ void TcpServer::on_peer_up(const std::string& peer, bool restarted,
     if (writer_) writer_->store_all(ctx);
     return;
   }
-  if (peer == kPfName && fastpath_) {
-    // PF (re)appeared: any unanswered fast-path queries died with the old
-    // incarnation — repeat them so the held frames drain.
-    fastpath_->resubmit_pf();
-    return;
-  }
+  if (on_pf_up(peer)) return;
   if (is_sibling(peer) && engine_) {
     // A sibling replica came up (first boot or post-crash): push it our
     // home listeners so its accept queue for every steered port exists.

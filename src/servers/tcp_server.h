@@ -33,15 +33,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/net/ip_fastpath.h"
 #include "src/net/tcp.h"
 #include "src/servers/checkpoint.h"
 #include "src/servers/proto.h"
-#include "src/servers/server.h"
+#include "src/servers/transport_server.h"
 
 namespace newtos::servers {
 
-class TcpServer : public Server {
+class TcpServer : public TransportServer {
  public:
   TcpServer(NodeEnv* env, sim::SimCore* core, net::TcpOptions opts,
             std::function<net::Ipv4Addr(net::Ipv4Addr)> src_for,
@@ -52,16 +51,6 @@ class TcpServer : public Server {
   ~TcpServer() override;
 
   net::TcpEngine* engine() { return engine_.get(); }
-  int shard() const { return shard_; }
-
-  // Multi-queue RSS: this replica owns one NIC RX queue per driver and runs
-  // the hoisted IP receive work (src/net/ip_fastpath.h) on frames the
-  // drivers post directly (kDrvRxFast).  Must be called before boot.
-  void enable_rx_fastpath(net::IpFastPath::Config cfg,
-                          std::vector<std::string> driver_names);
-  // Fast-path statistics (null when the fast path is off), published as
-  // per-shard node stats and the bench's per-shard inbound frame count.
-  const net::IpFastPath* fastpath() const { return fastpath_.get(); }
 
   // Checkpoint overhead counters (0 with checkpointing off), published as
   // node stats "tcp.ckpt_puts" / "tcp.ckpt_bytes".
@@ -90,11 +79,14 @@ class TcpServer : public Server {
   void on_peer_up(const std::string& peer, bool restarted,
                   sim::Context& ctx) override;
   void on_killed() override;
+  // Data segments cost more than pure ACKs (approximated by length); a GRO
+  // aggregate pays the connection machinery ONCE — the receive-side mirror
+  // of TSO's per-superframe charge.
+  void deliver_l4(std::span<const net::L4Packet> segs) override;
 
  private:
   void build_writer();
   void build_engine();
-  void build_fastpath();
   void save_listeners(sim::Context& ctx);
   bool is_sibling(const std::string& peer) const;
   // SO_REUSEPORT-style replication: pushes one listener record (or its
@@ -114,16 +106,10 @@ class TcpServer : public Server {
 
   net::TcpOptions opts_;
   std::function<net::Ipv4Addr(net::Ipv4Addr)> src_for_;
-  int shard_ = 0;
   int shard_count_ = 1;
   std::vector<std::string> siblings_;
   std::unique_ptr<CheckpointWriter> writer_;  // before engine_: outlives it
   std::unique_ptr<net::TcpEngine> engine_;
-  // RSS fast path (null unless enable_rx_fastpath was called).
-  bool rx_fastpath_ = false;
-  net::IpFastPath::Config fastpath_cfg_;
-  std::vector<std::string> fastpath_drivers_;
-  std::unique_ptr<net::IpFastPath> fastpath_;
   chan::Pool* pool_ = nullptr;
   // kIpTx descriptors in flight; freed on kIpTxDone or IP restart.
   std::unordered_map<std::uint64_t, chan::RichPtr> tx_descs_;

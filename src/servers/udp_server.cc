@@ -10,9 +10,8 @@ namespace newtos::servers {
 UdpServer::UdpServer(NodeEnv* env, sim::SimCore* core,
                      std::function<net::Ipv4Addr(net::Ipv4Addr)> src_for,
                      int shard, int shard_count)
-    : Server(env, udp_shard_name(shard), core),
+    : TransportServer(env, core, 'U', shard),
       src_for_(std::move(src_for)),
-      shard_(shard),
       shard_count_(shard_count),
       siblings_(transport_shard_siblings('U', shard, shard_count)) {}
 
@@ -75,40 +74,11 @@ void UdpServer::build_engine() {
   engine_ = std::make_unique<net::UdpEngine>(std::move(e));
 }
 
-void UdpServer::enable_rx_fastpath(net::IpFastPath::Config cfg,
-                                   std::vector<std::string> driver_names) {
-  rx_fastpath_ = true;
-  fastpath_cfg_ = std::move(cfg);
-  fastpath_cfg_.gro = false;  // GRO is a TCP-only merge
-  fastpath_drivers_ = std::move(driver_names);
-}
-
-void UdpServer::build_fastpath() {
-  net::IpFastPath::Env fe;
-  fe.pools = env().pools;
-  fe.deliver = [this](std::uint8_t, net::L4Packet&& pkt) {
-    // Same per-datagram charge as the kL4Rx leg.
+void UdpServer::deliver_l4(std::span<const net::L4Packet> segs) {
+  for (const auto& pkt : segs) {
     if (in_handler()) charge(cur(), sim().costs().udp_packet_proc);
-    engine_->input(std::move(pkt));
-  };
-  fe.pf_check = [this](const net::PfQuery& q, std::uint64_t cookie) {
-    send_to(kPfName, make_pf_check(cookie, q), cur());
-  };
-  fe.fallback = [this](int ifindex, const chan::RichPtr& frame) {
-    chan::Message m;
-    m.opcode = kFastFallback;
-    m.ptr = frame;
-    m.arg1 = static_cast<std::uint64_t>(ifindex);
-    if (!send_to(kIpName, m, cur())) {
-      chan::Pool* p = env().pools->find(frame.pool);
-      if (p != nullptr) p->release(frame);
-    }
-  };
-  fe.release = [this](const chan::RichPtr& frame) {
-    chan::Pool* p = env().pools->find(frame.pool);
-    if (p != nullptr) p->release(frame);
-  };
-  fastpath_ = std::make_unique<net::IpFastPath>(std::move(fe), fastpath_cfg_);
+    engine_->input(net::L4Packet{pkt});
+  }
 }
 
 void UdpServer::start(bool restart) {
@@ -125,11 +95,8 @@ void UdpServer::start(bool restart) {
     expose_in_queue(kRsName, 64);
     connect_out(kRsName);
   }
-  if (rx_fastpath_) {
-    for (const auto& d : fastpath_drivers_) expose_in_queue(d, 512);
-  }
+  start_rx_fastpath();
   build_engine();
-  if (rx_fastpath_) build_fastpath();
   if (restart) {
     post_control([this](sim::Context& ctx) {
       chan::Message m;
@@ -147,7 +114,7 @@ void UdpServer::on_killed() {
   // The dying process cannot send done-reports; queued receive frames go
   // straight back to their owning pool.  In-flight descriptors leak,
   // bounded per crash.
-  fastpath_.reset();  // held frames (pending PF verdicts) back to the pool
+  stop_rx_fastpath();
   drop_engine(engine_);
   pending_tx_.clear();
 }
@@ -263,51 +230,8 @@ void UdpServer::handle_sock_request(
 
 void UdpServer::on_message(const std::string& from, const chan::Message& m,
                            sim::Context& ctx) {
+  if (on_rx_message(m, ctx)) return;
   switch (m.opcode) {
-    case kL4Rx: {
-      charge(ctx, sim().costs().udp_packet_proc);
-      net::L4Packet pkt;
-      pkt.frame = m.ptr;
-      pkt.l4_offset = static_cast<std::uint16_t>(m.arg0 >> 16);
-      pkt.l4_length = static_cast<std::uint16_t>(m.arg0);
-      pkt.src = unpack_hi(m.arg1);
-      pkt.dst = unpack_lo(m.arg1);
-      engine_->input(std::move(pkt));
-      return;
-    }
-    case kDrvRxFast: {
-      // RSS fast path: the hoisted IP work (validation, PF consultation) is
-      // paid here, on this shard's core, instead of on the central IP core.
-      const auto recs = parse_records<WireRxFrame>(env().pools->read(m.ptr));
-      charge(ctx, sim().costs().ip_packet_proc *
-                      static_cast<sim::Cycles>(recs.size()));
-      std::vector<chan::RichPtr> frames;
-      frames.reserve(recs.size());
-      for (const auto& rec : recs) {
-        chan::Pool* p = env().pools->find(rec.frame.pool);
-        if (p != nullptr) {
-          p->note_return(rec.frame, transport_borrower('U', shard_));
-        }
-        frames.push_back(rec.frame);
-      }
-      env().pools->release(m.ptr);  // driver's descriptor chunk
-      if (fastpath_) {
-        fastpath_->input_burst(static_cast<int>(m.arg1), frames);
-      } else {
-        for (const auto& f : frames) {
-          chan::Pool* p = env().pools->find(f.pool);
-          if (p != nullptr) p->release(f);
-        }
-      }
-      return;
-    }
-    case kPfVerdict:
-      charge(ctx, 120);
-      if (fastpath_) fastpath_->pf_verdict(m.req_id, m.arg0 != 0);
-      return;
-    case kPfCacheInval:
-      if (fastpath_) fastpath_->invalidate_cache();
-      return;
     case kIpTxDone: {
       auto it = pending_tx_.find(m.req_id);
       if (it != pending_tx_.end()) {
@@ -453,12 +377,7 @@ void UdpServer::on_peer_up(const std::string& peer, bool restarted,
     save_sockets(ctx);
     return;
   }
-  if (peer == kPfName && fastpath_) {
-    // PF (re)appeared: unanswered fast-path queries died with the old
-    // incarnation — repeat them so the held frames drain.
-    fastpath_->resubmit_pf();
-    return;
-  }
+  if (on_pf_up(peer)) return;
   if (is_sibling(peer) && engine_) {
     // A sibling replica came up: push it our home socket records so the
     // datagrams steered to it find their sockets.  Upserts are idempotent.

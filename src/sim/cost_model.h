@@ -4,7 +4,7 @@
 // (Section IV: ~30 cycles to enqueue on a channel, ~150 cycles for a hot
 // SYSCALL trap, ~3000 cycles cold).  Constants marked [calibrated] were
 // chosen so that the Table II baseline configurations land in the bands the
-// paper reports; EXPERIMENTS.md discusses the calibration.
+// paper reports.
 #pragma once
 
 #include "src/sim/time.h"

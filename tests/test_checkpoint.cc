@@ -395,7 +395,7 @@ TEST(Checkpoint, CrashMidZeroCopySplice) {
 }
 
 // Crash while receive-side batching is aggregating inbound segments: the
-// kL4RxAgg loan machinery (transport borrowers) and the checkpoint parking
+// packed kL4Rx loan machinery (transport borrowers) and the checkpoint parking
 // must compose — frames in dead aggregates are reclaimed by IP, frames the
 // engine had accepted ride the checkpoint.
 TEST(Checkpoint, CrashMidRxAggregate) {

@@ -1,6 +1,9 @@
 // Unit tests: simulated NIC (rings, DMA, TSO split, reset) and wire.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "src/drv/nic.h"
 #include "src/drv/wire.h"
 #include "src/net/checksum.h"
@@ -27,6 +30,14 @@ struct Rig {
         b(sim, pools, net::MacAddr::local(2), nc) {
     a.attach_wire(&wire, 0);
     b.attach_wire(&wire, 1);
+  }
+
+  // Installs `fn` as b's receive handler, called once per completed frame.
+  void on_rx(std::function<void(chan::RichPtr, std::uint32_t)> fn) {
+    b.set_rx_burst([fn = std::move(fn)](
+                       int, std::vector<SimNic::RxCompletion>&& burst) {
+      for (const auto& c : burst) fn(c.buffer, c.len);
+    });
   }
 
   // Builds a valid ETH+IP+TCP frame header chunk addressed a -> b.
@@ -113,7 +124,7 @@ TEST(Nic, TxRxRoundTripDma) {
 
   chan::RichPtr got;
   std::uint32_t got_len = 0;
-  rig.b.set_rx([&](chan::RichPtr buf, std::uint32_t len) {
+  rig.on_rx([&](chan::RichPtr buf, std::uint32_t len) {
     got = buf;
     got_len = len;
   });
@@ -136,6 +147,26 @@ TEST(Nic, TxRxRoundTripDma) {
   EXPECT_EQ(std::to_integer<int>(bytes[54]), 0x3c);  // payload DMA'd intact
 }
 
+TEST(Nic, NonCoalescingDeviceRaisesOneCompletionPerInterrupt) {
+  Rig rig;
+  for (int i = 0; i < 3; ++i) rig.b.rx_post(rig.pool->alloc(2048));
+  std::vector<std::size_t> burst_sizes;
+  rig.b.set_rx_burst(
+      [&](int queue, std::vector<SimNic::RxCompletion>&& burst) {
+        EXPECT_EQ(queue, 0);
+        burst_sizes.push_back(burst.size());
+      });
+  for (int i = 0; i < 3; ++i) {
+    net::TxFrame f;
+    f.header = rig.make_frame_hdr(0, 1000 + static_cast<std::uint32_t>(i));
+    ASSERT_TRUE(rig.a.tx_post(std::move(f), static_cast<std::uint64_t>(i)));
+  }
+  rig.sim.run_to_completion();
+  EXPECT_EQ(burst_sizes, std::vector<std::size_t>(3, 1));
+  EXPECT_EQ(rig.b.stats().rx_frames, 3u);
+  EXPECT_EQ(rig.b.stats().rx_bursts, 0u);  // only coalesced interrupts count
+}
+
 TEST(Nic, MacFilterDropsForeignFrames) {
   Rig rig;
   chan::RichPtr hdr = rig.make_frame_hdr(0);
@@ -146,7 +177,7 @@ TEST(Nic, MacFilterDropsForeignFrames) {
   chan::RichPtr rx_buf = rig.pool->alloc(2048);
   rig.b.rx_post(rx_buf);
   int got = 0;
-  rig.b.set_rx([&](chan::RichPtr, std::uint32_t) { ++got; });
+  rig.on_rx([&](chan::RichPtr, std::uint32_t) { ++got; });
   net::TxFrame f;
   f.header = hdr;
   rig.a.tx_post(std::move(f), 1);
@@ -175,7 +206,7 @@ TEST(Nic, TsoSplitsSuperframeCorrectly) {
 
   for (int i = 0; i < 4; ++i) rig.b.rx_post(rig.pool->alloc(2048));
   std::vector<std::vector<std::byte>> frames;
-  rig.b.set_rx([&](chan::RichPtr buf, std::uint32_t len) {
+  rig.on_rx([&](chan::RichPtr buf, std::uint32_t len) {
     auto bytes = rig.pools.read(chan::RichPtr{buf.pool, buf.offset, len,
                                               buf.generation});
     frames.emplace_back(bytes.begin(), bytes.end());
@@ -246,7 +277,7 @@ TEST(Nic, WedgeDropsUntilReset) {
   Rig rig;
   rig.b.rx_post(rig.pool->alloc(2048));
   int got = 0;
-  rig.b.set_rx([&](chan::RichPtr, std::uint32_t) { ++got; });
+  rig.on_rx([&](chan::RichPtr, std::uint32_t) { ++got; });
   rig.b.set_wedged(true);
   net::TxFrame f;
   f.header = rig.make_frame_hdr(0);

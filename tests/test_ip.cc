@@ -67,12 +67,15 @@ struct Host {
       wire.push_back(SentFrame{ifindex, std::move(f), cookie});
     };
     if (with_pf) {
-      env.pf_check = [this](const PfQuery& q, std::uint64_t cookie) {
-        pf_queries.push_back({q, cookie});
-      };
+      env.pf_check =
+          [this](std::span<const std::pair<PfQuery, std::uint64_t>> qs) {
+            pf_queries.insert(pf_queries.end(), qs.begin(), qs.end());
+          };
     }
-    env.deliver_tcp = [this](L4Packet&& p) { to_tcp.push_back(p); };
-    env.deliver_udp = [this](L4Packet&& p) { to_udp.push_back(p); };
+    env.deliver = [this](std::uint8_t proto, std::span<const L4Packet> ps) {
+      auto& to = proto == kProtoUdp ? to_udp : to_tcp;
+      to.insert(to.end(), ps.begin(), ps.end());
+    };
     env.seg_done = [this](std::uint64_t c, bool ok) {
       seg_done.push_back({c, ok});
     };

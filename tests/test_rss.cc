@@ -207,10 +207,13 @@ struct FastHost {
     rx_pool = &pools.create("ip", "rx", 4u << 20);
     IpFastPath::Env env;
     env.pools = &pools;
-    env.deliver = [this](std::uint8_t proto, L4Packet&& pkt) {
-      delivered.emplace_back(proto, pkt);
-    };
-    env.deliver_agg = [this](L4AggPacket&& agg) {
+    env.deliver = [this](std::uint8_t proto, std::span<const L4Packet> ps) {
+      if (ps.size() == 1) {
+        delivered.emplace_back(proto, ps.front());
+        return;
+      }
+      L4AggPacket agg;
+      agg.segs.assign(ps.begin(), ps.end());
       aggs.push_back(std::move(agg));
     };
     env.pf_check = [this](const PfQuery& q, std::uint64_t cookie) {

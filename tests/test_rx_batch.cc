@@ -1,4 +1,4 @@
-// Receive-side batching: NIC interrupt coalescing, the kDrvRxBurst wire
+// Receive-side batching: NIC interrupt coalescing, the packed kDrvRx wire
 // format, and GRO aggregation at the IP -> TCP boundary.
 //
 // Unit level: a direct IpEngine harness feeds crafted bursts and checks the
@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/core/apps.h"
@@ -34,7 +36,6 @@ struct GroHost {
   std::vector<L4AggPacket> aggs;
   std::vector<L4Packet> to_tcp;
   std::vector<std::vector<std::pair<PfQuery, std::uint64_t>>> pf_batches;
-  std::vector<std::pair<PfQuery, std::uint64_t>> pf_queries;
   bool pf_enabled;
   std::unique_ptr<IpEngine> ip;
 
@@ -65,17 +66,22 @@ struct GroHost {
     env.hdr_pool = hdr_pool;
     env.rx_pool = rx_pool;
     env.send_frame = [](int, TxFrame&&, std::uint64_t) {};
-    env.deliver_tcp = [this](L4Packet&& p) { to_tcp.push_back(p); };
-    env.deliver_udp = [](L4Packet&&) {};
-    env.deliver_tcp_agg = [this](L4AggPacket&& a) {
+    env.deliver = [this](std::uint8_t proto, std::span<const L4Packet> ps) {
+      if (proto != kProtoTcp) return;
+      if (ps.size() == 1) {
+        to_tcp.push_back(ps.front());
+        return;
+      }
+      L4AggPacket a;
+      a.segs.assign(ps.begin(), ps.end());
+      a.src = ps.front().src;
+      a.dst = ps.front().dst;
+      std::tie(a.sport, a.dport) = ports(ps.front());
       aggs.push_back(std::move(a));
     };
     env.seg_done = [](std::uint64_t, bool) {};
     if (with_pf) {
-      env.pf_check = [this](const PfQuery& q, std::uint64_t cookie) {
-        pf_queries.push_back({q, cookie});
-      };
-      env.pf_check_batch =
+      env.pf_check =
           [this](std::span<const std::pair<PfQuery, std::uint64_t>> qs) {
             pf_batches.emplace_back(qs.begin(), qs.end());
           };
@@ -89,6 +95,13 @@ struct GroHost {
     ifc.subnet = Ipv4Net{Ipv4Addr(10, 1, 0, 0), 24};
     cfg.interfaces.push_back(ifc);
     ip = std::make_unique<IpEngine>(std::move(env), cfg);
+  }
+
+  // The (source, destination) ports a delivered packet's frame carries.
+  std::pair<std::uint16_t, std::uint16_t> ports(const L4Packet& p) const {
+    ByteReader r{pools.read(p.frame).subspan(p.l4_offset, 4)};
+    const std::uint16_t sport = r.u16();
+    return {sport, r.u16()};
   }
 
   // One inbound TCP data frame from `src`:`sport` to us:`dport`.
@@ -222,13 +235,16 @@ TEST(Gro, AggregateNeverSpansShards) {
   h.ip->input_burst(0, burst);
   ASSERT_GE(h.aggs.size(), 1u);
   for (const auto& agg : h.aggs) {
+    // IP steers a whole aggregate by its first member.
     const int shard = steer_shard(agg.src, agg.dst, agg.sport, agg.dport, 4);
     for (const auto& seg : agg.segs) {
-      // All members share the aggregate's 4-tuple by construction...
+      // Every member carries the aggregate's 4-tuple...
+      const auto [sport, dport] = h.ports(seg);
       EXPECT_EQ(seg.src, agg.src);
-      // ...so they hash to the same shard as the aggregate.
-      EXPECT_EQ(steer_shard(seg.src, seg.dst, agg.sport, agg.dport, 4),
-                shard);
+      EXPECT_EQ(sport, agg.sport);
+      EXPECT_EQ(dport, agg.dport);
+      // ...so it hashes to the same shard as the aggregate.
+      EXPECT_EQ(steer_shard(seg.src, seg.dst, sport, dport, 4), shard);
     }
   }
 }
@@ -262,6 +278,75 @@ TEST(Gro, BlockedVerdictReleasesEveryFrameOfTheAggregate) {
   EXPECT_TRUE(h.aggs.empty());
   EXPECT_EQ(h.ip->stats().dropped_pf, 4u);
   EXPECT_EQ(h.rx_pool->chunks_live(), live_before);  // all four released
+}
+
+// --- unit: the one receive message format ------------------------------------------
+
+TEST(RxFormat, OneRecordInlineManyPackedSinglesWhenThePoolIsExhausted) {
+  using servers::WireRxFrame;
+  chan::PoolRegistry pools;
+  chan::Pool& frames = pools.create("ip", "rx", 1u << 16);
+  chan::Pool& descs = pools.create("drv0", "buf", 1u << 16);
+  chan::Pool& tiny = pools.create("drv1", "buf", 64);  // < 3 records
+  std::vector<WireRxFrame> recs(3);
+  for (auto& r : recs) r.frame = frames.alloc(100);
+  chan::Message base;
+  base.opcode = servers::kDrvRx;
+  base.arg1 = 7;  // ifindex: the message's own field, kept in every form
+
+  std::vector<chan::Message> sent;
+  auto send = [&](const chan::Message& m) {
+    sent.push_back(m);
+    return true;
+  };
+  auto never_refused = [](std::size_t) { ADD_FAILURE(); };
+  auto frames_of = [&](const chan::Message& m) {
+    std::vector<chan::RichPtr> out;
+    for (const auto& r : servers::decode_records<WireRxFrame>(pools, m))
+      out.push_back(r.frame);
+    return out;
+  };
+
+  // One record: inline, no descriptor.
+  servers::send_records<WireRxFrame>(&descs, base, {recs.data(), 1}, send,
+                                     never_refused);
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].flags & servers::kMsgPacked, 0);
+  EXPECT_EQ(sent[0].arg1, 7u);
+  EXPECT_EQ(descs.total_allocs(), 0u);
+  EXPECT_EQ(frames_of(sent[0]), std::vector<chan::RichPtr>{recs[0].frame});
+
+  // Three records: one packed message; decoding returns the descriptor.
+  sent.clear();
+  servers::send_records<WireRxFrame>(&descs, base, recs, send, never_refused);
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_NE(sent[0].flags & servers::kMsgPacked, 0);
+  EXPECT_EQ(sent[0].arg0, 3u);
+  EXPECT_EQ(sent[0].arg1, 7u);
+  EXPECT_EQ(descs.chunks_live(), 1u);
+  const auto packed = frames_of(sent[0]);
+  ASSERT_EQ(packed.size(), 3u);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(packed[i], recs[i].frame);
+  EXPECT_EQ(descs.chunks_live(), 0u);
+
+  // Pool exhausted: one inline message per record.
+  sent.clear();
+  servers::send_records<WireRxFrame>(&tiny, base, recs, send, never_refused);
+  ASSERT_EQ(sent.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(sent[i].flags & servers::kMsgPacked, 0);
+    EXPECT_EQ(frames_of(sent[i]),
+              std::vector<chan::RichPtr>{recs[i].frame});
+  }
+
+  // A refused packed message refuses all of its records and frees its
+  // descriptor.
+  std::vector<std::size_t> refused;
+  servers::send_records<WireRxFrame>(
+      &descs, base, recs, [](const chan::Message&) { return false; },
+      [&](std::size_t i) { refused.push_back(i); });
+  EXPECT_EQ(refused, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(descs.chunks_live(), 0u);
 }
 
 // --- system: coalescing, amortization, sharding, crash recovery --------------------
@@ -339,6 +424,49 @@ TEST(RxBatch, HoldoffTimerFlushesSparseTraffic) {
   tb.run_until(1 * sim::kSecond);
   EXPECT_GT(cli.ok(), 0u);  // echoes went round despite the 64-frame bound
   EXPECT_GT(tb.newtos().nic(0)->stats().rx_timer_flushes, 0u);
+}
+
+TEST(RxBatch, TimerFlushOfOneFrameReachesIpInline) {
+  // A lone frame on a coalescing device: the hold-off timer raises a burst
+  // of one, which crosses driver -> IP inline — exactly a per-frame message,
+  // no descriptor allocated from the driver's staging pool.
+  Testbed tb(rx_opts(/*coalesce=*/8, /*gro=*/true));
+  tb.run_until(100 * sim::kMillisecond);  // boot settles; the wire is quiet
+  Node& dut = tb.newtos();
+  auto* drv = dynamic_cast<servers::DriverServer*>(
+      dut.server(servers::driver_name(0)));
+  ASSERT_NE(drv, nullptr);
+  chan::Pool* desc_pool = dut.pools().find_by_name("drv0.buf");
+  ASSERT_NE(desc_pool, nullptr);
+  const auto nic_before = dut.nic(0)->stats();
+  const std::uint64_t allocs_before = desc_pool->total_allocs();
+  const std::uint64_t msgs_before = drv->rx_msgs();
+  const std::uint64_t ip_before = dut.ip_engine()->stats().rx_frames;
+
+  // One broadcast ARP request for our address, straight onto the wire.
+  std::vector<std::byte> frame(kEthHeaderLen + kArpPacketLen);
+  ByteWriter w{frame};
+  EthHeader eth;
+  eth.dst = MacAddr::broadcast();
+  eth.src = MacAddr::local(77);
+  eth.ethertype = kEtherTypeArp;
+  eth.serialize(w);
+  ArpPacket arp;
+  arp.op = kArpOpRequest;
+  arp.sender_mac = eth.src;
+  arp.sender_ip = tb.peer().addr(0);
+  arp.target_ip = dut.addr(0);
+  arp.serialize(w);
+  tb.wire(0).transmit(/*end=*/1, std::move(frame));
+  tb.run_until(tb.sim().now() + sim::kMillisecond);
+
+  const auto& nic = dut.nic(0)->stats();
+  EXPECT_EQ(nic.rx_frames, nic_before.rx_frames + 1);
+  EXPECT_EQ(nic.rx_bursts, nic_before.rx_bursts + 1);
+  EXPECT_EQ(nic.rx_timer_flushes, nic_before.rx_timer_flushes + 1);
+  EXPECT_EQ(drv->rx_msgs(), msgs_before + 1);
+  EXPECT_EQ(desc_pool->total_allocs(), allocs_before);
+  EXPECT_EQ(dut.ip_engine()->stats().rx_frames, ip_before + 1);
 }
 
 TEST(RxBatch, GroChargesOncePerAggregateAndStretchAcks) {
