@@ -94,11 +94,6 @@ struct NodeConfig {
   // keeps the classic drop-and-dup-ACK receiver; a WAN wire that reorders
   // needs a few slots here so displaced frames do not masquerade as loss.
   std::uint32_t tcp_ooo_queue = 0;
-  // End-to-end work probes from the reincarnation server (synthetic echo
-  // rs -> tcpN -> ip -> pf and back) so a silently wedged transport — the
-  // one fault class heartbeats cannot see — is restarted automatically.
-  // Default off: the paper's manual-restart behaviour stands.
-  bool work_probes = false;
   // Self-healing supervision plane (the escalation ladder of DESIGN.md):
   // work probes to all five component classes, an EWMA-based probe-RTT SLO
   // (slowdown detection), a driver-side NIC wedge watchdog, and restart

@@ -51,7 +51,13 @@ class Node {
   // Creates an application actor, attaches its submission/completion ring
   // (see src/core/socket_ring.h) and boots it.
   AppActor* add_app(const std::string& name);
-  SocketApi& sockets() { return *sockets_; }
+  // Readiness-event registry of the socket objects, keyed by (proto, id).
+  // NodeEnv::sock_event posts the registered handler to its app as a
+  // kernel message; events for an unregistered (e.g. closed) socket are
+  // dropped.
+  void set_sock_handler(char proto, std::uint32_t sock, AppActor* app,
+                        SockEventFn fn);
+  void clear_sock_handler(char proto, std::uint32_t sock);
 
   // Publishes per-queue "chan.<queue>.send_failures" counters (plus the
   // "chan.send_failures" total) and the drivers' "drv.rx_dropped" into
@@ -137,7 +143,8 @@ class Node {
   servers::StackServer* stack_ = nullptr;
   servers::ShardCursors direct_open_rr_;
 
-  std::unique_ptr<SocketApi> sockets_;
+  std::map<std::pair<char, std::uint32_t>, std::pair<AppActor*, SockEventFn>>
+      sock_handlers_;
   sim::SimCore* shared_core_ = nullptr;  // MINIX mode: one core for all
   std::uint32_t next_borrower_ = 1;      // pool loan-ledger ids for apps
   bool requires_reboot_ = false;

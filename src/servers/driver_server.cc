@@ -267,21 +267,6 @@ void DriverServer::on_message(const std::string& from, const chan::Message& m,
       nic_->rx_post(best, m.ptr);
       return;
     }
-    case kWorkProbe: {
-      // Supervision probe: a driver's "work" is servicing the device, but
-      // for liveness purposes dequeuing the probe proves the event loop
-      // turns (device health is the watchdog's job, not the probe's).  The
-      // ack follows the canary charge so its latency reflects a slowdown.
-      charge(ctx, sim().costs().probe_canary);
-      reply_after_charges([this, cookie = m.req_id](sim::Context& c) {
-        chan::Message ack;
-        ack.opcode = kWorkProbeAck;
-        ack.req_id = cookie;
-        ack.arg0 = 1;
-        send_to(kRsName, ack, c);
-      });
-      return;
-    }
     default:
       return;  // validate-and-ignore (Section IV-A)
   }

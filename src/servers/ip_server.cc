@@ -148,7 +148,7 @@ void IpServer::start(bool restart) {
   peers.push_back(kStoreName);
   if (cfg_.use_pf) peers.push_back(kPfName);
   for (int ifindex : cfg_.ifindexes) peers.push_back(driver_name(ifindex));
-  // Supervision probes us directly (not just through a transport).
+  // The reincarnation server's work probes (answered by the Server base).
   if (env().knobs.supervision) peers.push_back(kRsName);
   for (const auto& p : peers) {
     expose_in_queue(p, 1024);
@@ -198,7 +198,6 @@ void IpServer::on_killed() {
   l4_reqs_.clear();
   drv_descs_.clear();  // in-flight descriptor chunks leak, bounded per crash
   posted_.clear();
-  probe_from_.clear();
 }
 
 void IpServer::post_rx_buffers(int ifindex, sim::Context& ctx) {
@@ -322,62 +321,6 @@ void IpServer::on_message(const std::string& from, const chan::Message& m,
       charge(ctx, 80);
       engine_->rx_done(m.ptr);
       return;
-    case kWorkProbe: {
-      // Reincarnation work probe bounced through a transport: do one IP
-      // hop's worth of work and pass it to the packet filter (the last hop
-      // of the synthetic echo) when there is one.  A DIRECT probe instead
-      // pays the canary quantum so its latency exposes slowdowns.
-      charge(ctx, from == kRsName ? costs.probe_canary
-                                  : costs.ip_packet_proc / 2);
-      if (from == kRsName) {
-        // A DIRECT probe from the reincarnation server judges this server
-        // alone: ack shallow, after the canary is paid.  Deep echoes
-        // through PF would make us answer for a wedged/slow packet filter
-        // — the supervisor probes PF separately and must blame the right
-        // component.
-        reply_after_charges([this, cookie = m.req_id](sim::Context& c) {
-          chan::Message ack;
-          ack.opcode = kWorkProbeAck;
-          ack.req_id = cookie;
-          ack.arg0 = 1;
-          send_to(kRsName, ack, c);
-        });
-        return;
-      }
-      if (cfg_.use_pf) {
-        chan::Message p;
-        p.opcode = kWorkProbe;
-        p.req_id = m.req_id;
-        if (send_to(kPfName, p, ctx)) {
-          // A PF that accepts probes but never acks (alive-but-wedged)
-          // would grow this map forever; cookies are monotonic, so drop
-          // the oldest once a sane bound is passed.
-          probe_from_[m.req_id] = from;
-          while (probe_from_.size() > 256) {
-            probe_from_.erase(probe_from_.begin());
-          }
-          return;
-        }
-        // PF down/mid-restart: its heartbeats cover it; short-circuit.
-      }
-      chan::Message ack;
-      ack.opcode = kWorkProbeAck;
-      ack.req_id = m.req_id;
-      ack.arg0 = 1;
-      send_to(from, ack, ctx);
-      return;
-    }
-    case kWorkProbeAck: {
-      auto it = probe_from_.find(m.req_id);
-      if (it == probe_from_.end()) return;
-      chan::Message ack;
-      ack.opcode = kWorkProbeAck;
-      ack.req_id = m.req_id;
-      ack.arg0 = m.arg0 + 1;
-      send_to(it->second, ack, ctx);
-      probe_from_.erase(it);
-      return;
-    }
     case kStoreAck: {
       std::uint64_t chunk_off = 0;
       if (request_db().complete(m.req_id, &chunk_off)) {

@@ -85,8 +85,6 @@ class IpServer : public Server {
   // Frame-chain descriptors we packed for drivers, freed on completion.
   std::unordered_map<std::uint64_t, chan::RichPtr> drv_descs_;
   std::map<int, int> posted_;  // rx buffers outstanding per ifindex
-  // In-flight work probes (cookie -> the transport replica to ack).
-  std::map<std::uint64_t, std::string> probe_from_;
   std::uint64_t store_get_req_ = 0;
   std::uint64_t l4_msgs_ = 0;
   std::uint64_t l4_frames_ = 0;

@@ -15,8 +15,7 @@ void PfServer::start(bool restart) {
   pool_ = env().get_pool("pf.buf", 2u << 20);
   std::vector<std::string> peers = {kIpName, kStoreName};
   peers.insert(peers.end(), transports_.begin(), transports_.end());
-  // Supervision probes us directly; the generic kWorkProbe handler already
-  // acks to whoever asked.
+  // The reincarnation server's work probes (answered by the Server base).
   if (env().knobs.supervision) peers.push_back(kRsName);
   for (const auto& p : peers) {
     expose_in_queue(p, 1024);
@@ -114,32 +113,6 @@ void PfServer::on_message(const std::string& from, const chan::Message& m,
           pool_, r, verdicts,
           [&](const chan::Message& msg) { return send_to(from, msg, ctx); },
           [](std::size_t) {});
-      return;
-    }
-    case kWorkProbe: {
-      // The synthetic echo's last hop (rs -> tcpN -> ip -> here): a packet
-      // filter that is alive and processing pays one packet's worth of
-      // work and acks back up the chain.  A direct supervision probe pays
-      // the canary quantum instead — and acks only after it is paid — so a
-      // slowed-down filter answers measurably late even when the verdict
-      // cache has absorbed its load.
-      if (from == kRsName) {
-        charge(ctx, sim().costs().probe_canary);
-        reply_after_charges([this, cookie = m.req_id](sim::Context& c) {
-          chan::Message ack;
-          ack.opcode = kWorkProbeAck;
-          ack.req_id = cookie;
-          ack.arg0 = 1;
-          send_to(kRsName, ack, c);
-        });
-        return;
-      }
-      charge(ctx, sim().costs().pf_packet_proc);
-      chan::Message ack;
-      ack.opcode = kWorkProbeAck;
-      ack.req_id = m.req_id;
-      ack.arg0 = 1;
-      send_to(from, ack, ctx);
       return;
     }
     case kConnListReply: {

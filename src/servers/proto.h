@@ -117,14 +117,15 @@ enum Opcode : std::uint16_t {
   kStoreReply,     // req_id; arg0=found(0/1); ptr=value (storage pool)
   kStoreRelease,   // ptr=chunk in storage pool to free
 
-  // --- end-to-end work probes (reincarnation server <-> the stack) ------------------
+  // --- supervision work probes (reincarnation server <-> each component) ------------
   // Heartbeats only prove a process answers kernel notifies; a silently
   // wedged server (drops its real work, answers heartbeats) passes them.
-  // The work probe is a synthetic echo through the stack: rs -> tcpN ->
-  // ip -> pf, acked back along the same path.  A server that drops work
-  // drops the probe, the reincarnation server times out and restarts it.
+  // The reincarnation server probes every supervised component directly;
+  // the component pays the probe canary and acks straight back
+  // (Server::answer_probe).  A server that drops work drops the probe, the
+  // reincarnation server times out and restarts it.
   kWorkProbe = 110,  // req_id=probe cookie
-  kWorkProbeAck,     // req_id=probe cookie; arg0=hops completed
+  kWorkProbeAck,     // req_id=probe cookie (the RTT sample's key)
 };
 
 // Storage key ids, namespaced per requesting server by the storage server.

@@ -6,6 +6,8 @@
 #include <cassert>
 #include <utility>
 
+#include "src/servers/proto.h"
+
 namespace newtos::servers {
 
 Server::Server(NodeEnv* env, std::string name, sim::SimCore* core)
@@ -177,14 +179,6 @@ void Server::send_to_all(const std::vector<std::string>& peers,
   for (const auto& peer : peers) send_to(peer, m, ctx);
 }
 
-void Server::reply_after_charges(std::function<void(sim::Context&)> fn) {
-  core_->exec(sim().now(),
-              [this, inc = incarnation_, fn = std::move(fn)](sim::Context& c) {
-                if (!alive_ || hung_ || inc != incarnation_) return;
-                fn(c);
-              });
-}
-
 void Server::announce(bool restarted) {
   announced_ = true;
   const std::string key = "server." + name_ + ".up";
@@ -257,7 +251,13 @@ void Server::pump(sim::Context& ctx) {
       if (g_trace)
         std::fprintf(stderr, "[%.6f]   msg %s->%s op=%u\n", sim().now() / 1e9,
                      from.c_str(), name_.c_str(), m.opcode);
-      if (!drop_work_) on_message(from, m, ctx);
+      if (!drop_work_) {
+        if (m.opcode == kWorkProbe) {
+          answer_probe(m, ctx);
+        } else {
+          on_message(from, m, ctx);
+        }
+      }
       ++handled;
       ++messages_handled_;
       got = true;
@@ -291,6 +291,24 @@ void Server::pump(sim::Context& ctx) {
   } else {
     enter_idle(ctx);
   }
+}
+
+void Server::answer_probe(const chan::Message& m, sim::Context& ctx) {
+  // The canary quantum makes the ack's latency scale with any slowdown of
+  // this server (see CostModel::probe_canary).  Messages sent inside a
+  // handler are delivered at the task's START time, so the ack goes out
+  // from a follow-up task on this core, i.e. only after every cycle charged
+  // so far (scaled by the slowdown) has elapsed.  It is dropped if the
+  // server dies, hangs or reincarnates first.
+  charge(ctx, sim().costs().probe_canary);
+  core_->exec(sim().now(), [this, inc = incarnation_,
+                            cookie = m.req_id](sim::Context& c) {
+    if (!alive_ || hung_ || inc != incarnation_) return;
+    chan::Message ack;
+    ack.opcode = kWorkProbeAck;
+    ack.req_id = cookie;
+    send_to(kRsName, ack, c);
+  });
 }
 
 void Server::enter_idle(sim::Context& ctx) {

@@ -49,13 +49,11 @@ struct RuntimeKnobs {
   // Extra per-packet path length of the legacy MINIX stack (Table II line 1).
   sim::Cycles legacy_per_packet = 0;
   std::uint32_t app_write_size = 8192;
-  // End-to-end work probes (reincarnation server -> transports -> IP -> PF):
-  // servers only create the probe channels when this is on.
-  bool work_probes = false;
   // Self-healing supervision plane: the reincarnation server escalates from
   // heartbeats/probes to automatic restarts (hang, silent wedge, slowdown)
-  // and the drivers watch their NIC for receive wedges.  Implies the probe
-  // channels of work_probes, extended to every component class.
+  // and the drivers watch their NIC for receive wedges.  Every probed
+  // server (tcp/udp/ip/pf/drv) opens its channel pair with the
+  // reincarnation server only when this is on.
   bool supervision = false;
 };
 
@@ -238,13 +236,6 @@ class Server {
   void send_to_all(const std::vector<std::string>& peers,
                    const chan::Message& m, sim::Context& ctx);
   bool peer_ready(const std::string& peer) const;
-  // Runs `fn` in a follow-up task on this server's core, i.e. only after
-  // every cycle charged by the current handler (scaled by any slowdown) has
-  // elapsed.  Messages sent inside a handler are delivered at the task's
-  // START time, so a reply whose latency must reflect the handler's work —
-  // the supervision probe ack and its canary quantum — has to be issued
-  // from here.  Dropped if the server dies, hangs or reincarnates first.
-  void reply_after_charges(std::function<void(sim::Context&)> fn);
 
   // Declares this server announced ("server.<name>.up" published).  Called
   // by subclasses when their state is restored and they are open for
@@ -287,6 +278,11 @@ class Server {
 
   void wake();
   void pump(sim::Context& ctx);
+  // Answers the reincarnation server's work probe (kWorkProbe) on behalf
+  // of every supervised server.  Called from the pump inside the drop-work
+  // gate: handling the probe *is* work, so a silently wedged server drops
+  // it and the missing ack is the detection signal.
+  void answer_probe(const chan::Message& m, sim::Context& ctx);
   void enter_idle(sim::Context& ctx);
 
   NodeEnv* env_;

@@ -128,7 +128,7 @@ void TcpServer::start(bool restart) {
     expose_in_queue(sib, 256);
     connect_out(sib);
   }
-  if (env().knobs.work_probes || env().knobs.supervision) {
+  if (env().knobs.supervision) {
     expose_in_queue(kRsName, 64);
     connect_out(kRsName);
   }
@@ -362,40 +362,6 @@ void TcpServer::on_message(const std::string& from, const chan::Message& m,
         rel.ptr = m.ptr;
         send_to(kStoreName, rel, ctx);
       }
-      return;
-    }
-    case kWorkProbe: {
-      // The reincarnation server's end-to-end probe.  Handling it *is*
-      // work: a silently wedged incarnation drops it (Server::drop_work)
-      // and the missing ack is the detection signal.  Ack IMMEDIATELY —
-      // the probe decides whether *this* replica processes work; a wedged
-      // IP or PF downstream must never get a healthy transport restarted
-      // in its place (their own heartbeats cover them).  The echo still
-      // bounces through IP and PF so the full path is exercised and the
-      // deeper ack reports the hops (the prober ignores duplicates).
-      // The canary quantum makes the ack's latency scale with any
-      // slowdown of this replica (see CostModel::probe_canary); the ack
-      // must go out AFTER the charge is paid, hence reply_after_charges.
-      charge(ctx, sim().costs().probe_canary);
-      reply_after_charges([this, cookie = m.req_id](sim::Context& c) {
-        chan::Message ack;
-        ack.opcode = kWorkProbeAck;
-        ack.req_id = cookie;
-        ack.arg0 = 1;
-        send_to(kRsName, ack, c);
-        chan::Message p;
-        p.opcode = kWorkProbe;
-        p.req_id = cookie;
-        send_to(kIpName, p, c);
-      });
-      return;
-    }
-    case kWorkProbeAck: {
-      chan::Message ack;
-      ack.opcode = kWorkProbeAck;
-      ack.req_id = m.req_id;
-      ack.arg0 = m.arg0 + 1;
-      send_to(kRsName, ack, ctx);
       return;
     }
     case kSockBatch: {

@@ -91,7 +91,7 @@ void UdpServer::start(bool restart) {
     expose_in_queue(sib);
     connect_out(sib);
   }
-  if (env().knobs.work_probes || env().knobs.supervision) {
+  if (env().knobs.supervision) {
     expose_in_queue(kRsName, 64);
     connect_out(kRsName);
   }
@@ -305,33 +305,6 @@ void UdpServer::on_message(const std::string& from, const chan::Message& m,
         send_to(kStoreName, rel, ctx);
       }
       announce(true);
-      return;
-    }
-    case kWorkProbe: {
-      // The reincarnation server's end-to-end probe (see the TCP twin for
-      // the rationale).  The ack judges THIS replica and goes out only
-      // once the canary quantum has been paid (so its latency scales with
-      // any slowdown); the echo still bounces through IP afterwards.
-      charge(ctx, sim().costs().probe_canary);
-      reply_after_charges([this, cookie = m.req_id](sim::Context& c) {
-        chan::Message ack;
-        ack.opcode = kWorkProbeAck;
-        ack.req_id = cookie;
-        ack.arg0 = 1;
-        send_to(kRsName, ack, c);
-        chan::Message p;
-        p.opcode = kWorkProbe;
-        p.req_id = cookie;
-        send_to(kIpName, p, c);
-      });
-      return;
-    }
-    case kWorkProbeAck: {
-      chan::Message ack;
-      ack.opcode = kWorkProbeAck;
-      ack.req_id = m.req_id;
-      ack.arg0 = m.arg0 + 1;
-      send_to(kRsName, ack, ctx);
       return;
     }
     case kSockBatch: {

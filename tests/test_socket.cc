@@ -270,19 +270,33 @@ TEST(SocketRingBatching, TwoOpensInOneFlushDoNotAlias) {
   }
 }
 
-// The deprecated flat shim still works (a batch of one per call).
-TEST(SocketApiShim, OpenCloseRoundTrip) {
+// An event raised for a socket after close() never reaches its handler:
+// neither one already posted to the app when close() ran, nor one raised
+// later for the same id (close() unregisters it from the node's registry).
+TEST(SocketObjects, NoEventAfterClose) {
   Testbed tb(options(StackMode::kSplitSyscall));
-  AppActor* app = tb.newtos().add_app("legacy");
-  SocketApi& api = tb.newtos().sockets();
-
-  SocketApi::Handle handle;
-  api.open(*app, 'T', [&](SocketApi::Handle h) { handle = h; });
+  AppActor* app = tb.newtos().add_app("app");
+  UdpSocket sock(*app);
+  int events = 0;
+  sock.on_event([&](net::TcpEvent) { ++events; });
+  bool bound = false;
+  sock.bind(net::Ipv4Addr{}, 6100, [&](bool ok) { bound = ok; });
   tb.run_until(50 * sim::kMillisecond);
-  EXPECT_TRUE(handle.valid());
+  ASSERT_TRUE(bound);
+  const std::uint32_t id = sock.id();
+  ASSERT_NE(id, 0u);
 
-  bool closed = false;
-  api.close(*app, handle, [&](bool ok) { closed = ok; });
+  // Registered: an event for the id is delivered.
+  auto& raise = tb.newtos().node_env().sock_event;
+  raise(0, 'U', id, 0);
+  tb.run_until(60 * sim::kMillisecond);
+  EXPECT_EQ(events, 1);
+
+  // Posted to the app, then the socket closes before the app runs it.
+  raise(0, 'U', id, 0);
+  sock.close();
+  // Raised after close() for the same id.
+  raise(0, 'U', id, 0);
   tb.run_until(100 * sim::kMillisecond);
-  EXPECT_TRUE(closed);
+  EXPECT_EQ(events, 1);
 }
