@@ -14,28 +14,44 @@ Pool::Pool(std::uint32_t id, std::string name, std::size_t size_bytes)
 std::uint32_t Pool::round_chunk(std::uint32_t len) {
   // 64-byte granularity keeps chunks cache-line aligned and makes the
   // segregated free lists effective.
-  return (len + 63u) & ~63u;
+  const std::uint64_t rounded =
+      (std::uint64_t{len} + kGranule - 1) & ~std::uint64_t{kGranule - 1};
+  return rounded > UINT32_MAX ? 0 : static_cast<std::uint32_t>(rounded);
+}
+
+Pool::Chunk* Pool::chunk_at(std::uint32_t offset) {
+  return const_cast<Chunk*>(std::as_const(*this).chunk_at(offset));
+}
+
+const Pool::Chunk* Pool::chunk_at(std::uint32_t offset) const {
+  if (offset % kGranule != 0) return nullptr;
+  const std::uint32_t g = offset / kGranule;
+  if (g >= headers_.size() || headers_[g].refs == 0) return nullptr;
+  return &headers_[g];
 }
 
 RichPtr Pool::alloc(std::uint32_t length) {
   if (length == 0) return kNullRichPtr;
   const std::uint32_t rounded = round_chunk(length);
+  const std::uint32_t cls = rounded / kGranule;
 
   std::uint32_t offset;
-  auto it = free_lists_.find(rounded);
-  if (it != free_lists_.end() && !it->second.empty()) {
-    offset = it->second.back();
-    it->second.pop_back();
+  if (cls < free_lists_.size() && !free_lists_[cls].empty()) {
+    offset = free_lists_[cls].back();
+    free_lists_[cls].pop_back();
   } else {
-    if (bump_ + rounded > bytes_.size()) {
+    if (rounded == 0 || rounded > bytes_.size() - bump_) {
       ++failed_allocs_;
       return kNullRichPtr;
     }
     offset = bump_;
     bump_ += rounded;
+    headers_.resize(bump_ / kGranule);
+    owner_.resize(bump_ / kGranule, offset / kGranule);
   }
 
-  chunks_[offset] = Chunk{length, 1};
+  headers_[offset / kGranule] = Chunk{length, 1};
+  ++chunks_live_;
   bytes_live_ += length;
   ++total_allocs_;
   return RichPtr{id_, offset, length, generation_};
@@ -43,54 +59,55 @@ RichPtr Pool::alloc(std::uint32_t length) {
 
 void Pool::addref(const RichPtr& p) {
   if (p.generation != generation_) return;
-  auto it = chunks_.find(p.offset);
-  assert(it != chunks_.end() && "addref on a freed chunk");
-  ++it->second.refs;
+  Chunk* c = chunk_at(p.offset);
+  assert(c != nullptr && "addref on a freed chunk");
+  if (c != nullptr) ++c->refs;
 }
 
 bool Pool::release(const RichPtr& p) {
   if (p.generation != generation_) return false;  // stale: pool was reset
-  auto it = chunks_.find(p.offset);
-  if (it == chunks_.end()) return false;
-  assert(it->second.refs > 0);
-  if (--it->second.refs > 0) return false;
-  bytes_live_ -= it->second.length;
-  free_lists_[round_chunk(it->second.length)].push_back(p.offset);
-  chunks_.erase(it);
+  Chunk* c = chunk_at(p.offset);
+  if (c == nullptr) return false;
+  if (--c->refs > 0) return false;
+  bytes_live_ -= c->length;
+  const std::uint32_t cls = round_chunk(c->length) / kGranule;
+  if (cls >= free_lists_.size()) free_lists_.resize(cls + 1);
+  free_lists_[cls].push_back(p.offset);
+  *c = Chunk{};
+  --chunks_live_;
   return true;
 }
 
 bool Pool::live(const RichPtr& p) const {
   if (p.pool != id_ || p.generation != generation_) return false;
-  auto it = chunks_.find(p.offset);
-  return it != chunks_.end() && it->second.length >= p.length;
+  const Chunk* c = chunk_at(p.offset);
+  return c != nullptr && c->length >= p.length;
 }
 
-std::map<std::uint32_t, Pool::Chunk>::const_iterator Pool::find_containing(
-    const RichPtr& p) const {
+std::uint32_t Pool::find_containing(const RichPtr& p) const {
   if (p.pool != id_ || p.generation != generation_ || !p.valid())
-    return chunks_.end();
-  auto it = chunks_.upper_bound(p.offset);
-  if (it == chunks_.begin()) return chunks_.end();
-  --it;
-  const std::uint64_t base = it->first;
-  const std::uint64_t end = base + it->second.length;
-  if (p.offset < base ||
-      static_cast<std::uint64_t>(p.offset) + p.length > end)
-    return chunks_.end();
-  return it;
+    return kNoChunk;
+  const std::uint32_t g = p.offset / kGranule;
+  if (g >= owner_.size()) return kNoChunk;
+  const std::uint32_t base = owner_[g];
+  const Chunk& c = headers_[base];
+  const std::uint64_t start = static_cast<std::uint64_t>(base) * kGranule;
+  if (c.refs == 0 ||
+      static_cast<std::uint64_t>(p.offset) + p.length > start + c.length)
+    return kNoChunk;
+  return base * kGranule;
 }
 
 RichPtr Pool::containing(const RichPtr& p) const {
-  auto it = find_containing(p);
-  if (it == chunks_.end()) return kNullRichPtr;
-  return RichPtr{id_, it->first, it->second.length, generation_};
+  const std::uint32_t base = find_containing(p);
+  if (base == kNoChunk) return kNullRichPtr;
+  return RichPtr{id_, base, headers_[base / kGranule].length, generation_};
 }
 
 void Pool::note_borrow(const RichPtr& p, std::uint32_t borrower) {
-  auto it = find_containing(p);
-  if (it == chunks_.end()) return;
-  ++ledger_[borrower][it->first];
+  const std::uint32_t base = find_containing(p);
+  if (base == kNoChunk) return;
+  ++ledger_[borrower][base];
   ++borrows_outstanding_;
 }
 
@@ -98,9 +115,9 @@ bool Pool::note_return(const RichPtr& p, std::uint32_t borrower) {
   if (p.pool != id_ || p.generation != generation_) return false;
   auto lit = ledger_.find(borrower);
   if (lit == ledger_.end()) return false;
-  auto cit = find_containing(p);
-  if (cit == chunks_.end()) return false;
-  auto eit = lit->second.find(cit->first);
+  const std::uint32_t base = find_containing(p);
+  if (base == kNoChunk) return false;
+  auto eit = lit->second.find(base);
   if (eit == lit->second.end()) return false;
   if (--eit->second == 0) lit->second.erase(eit);
   if (lit->second.empty()) ledger_.erase(lit);
@@ -111,16 +128,16 @@ bool Pool::note_return(const RichPtr& p, std::uint32_t borrower) {
 std::size_t Pool::reclaim(std::uint32_t borrower) {
   auto lit = ledger_.find(borrower);
   if (lit == ledger_.end()) return 0;
-  // Move out first: release() mutates chunks_ but not the ledger.
+  // Move out first: release() mutates the chunk headers but not the ledger.
   auto loans = std::move(lit->second);
   ledger_.erase(lit);
   std::size_t reclaimed = 0;
   for (const auto& [offset, count] : loans) {
     borrows_outstanding_ -= count;
     for (std::uint32_t k = 0; k < count; ++k) {
-      auto cit = chunks_.find(offset);
-      if (cit == chunks_.end()) break;  // already gone; nothing stranded
-      release(RichPtr{id_, offset, cit->second.length, generation_});
+      const Chunk* c = chunk_at(offset);
+      if (c == nullptr) break;  // already gone; nothing stranded
+      release(RichPtr{id_, offset, c->length, generation_});
       ++reclaimed;
     }
   }
@@ -148,8 +165,10 @@ std::span<const std::byte> Pool::read_view(const RichPtr& p) const {
 }
 
 void Pool::reset() {
-  chunks_.clear();
+  headers_.clear();
+  owner_.clear();
   free_lists_.clear();
+  chunks_live_ = 0;
   ledger_.clear();
   borrows_outstanding_ = 0;
   bump_ = 0;
@@ -159,27 +178,26 @@ void Pool::reset() {
 
 Pool& PoolRegistry::create(const std::string& owner, const std::string& name,
                            std::size_t size_bytes) {
-  const std::uint32_t id = next_id_++;
-  auto pool = std::make_unique<Pool>(id, owner + "/" + name, size_bytes);
-  Pool& ref = *pool;
-  pools_.emplace(id, std::move(pool));
-  return ref;
+  const auto id = static_cast<std::uint32_t>(pools_.size() + 1);
+  pools_.push_back(std::make_unique<Pool>(id, owner + "/" + name, size_bytes));
+  return *pools_.back();
 }
 
-void PoolRegistry::destroy(std::uint32_t id) { pools_.erase(id); }
+void PoolRegistry::destroy(std::uint32_t id) {
+  if (id != 0 && id <= pools_.size()) pools_[id - 1].reset();
+}
 
 Pool* PoolRegistry::find(std::uint32_t id) {
-  auto it = pools_.find(id);
-  return it == pools_.end() ? nullptr : it->second.get();
+  return id == 0 || id > pools_.size() ? nullptr : pools_[id - 1].get();
 }
 
 const Pool* PoolRegistry::find(std::uint32_t id) const {
-  auto it = pools_.find(id);
-  return it == pools_.end() ? nullptr : it->second.get();
+  return id == 0 || id > pools_.size() ? nullptr : pools_[id - 1].get();
 }
 
 Pool* PoolRegistry::find_by_name(const std::string& name) {
-  for (auto& [id, pool] : pools_) {
+  for (auto& pool : pools_) {
+    if (pool == nullptr) continue;
     const std::string& full = pool->name();  // "<owner>/<name>"
     if (full == name) return pool.get();
     const auto slash = full.rfind('/');
@@ -205,10 +223,18 @@ bool PoolRegistry::release(const RichPtr& p) {
   return true;
 }
 
+std::size_t PoolRegistry::count() const {
+  std::size_t n = 0;
+  for (const auto& pool : pools_) n += pool != nullptr;
+  return n;
+}
+
 std::vector<Pool*> PoolRegistry::all() {
   std::vector<Pool*> out;
   out.reserve(pools_.size());
-  for (auto& [id, pool] : pools_) out.push_back(pool.get());
+  for (auto& pool : pools_) {
+    if (pool != nullptr) out.push_back(pool.get());
+  }
   return out;
 }
 

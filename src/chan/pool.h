@@ -23,11 +23,18 @@
 //    pool (stale generation) becomes a safe no-op — and reclaim() frees
 //    everything a crashed borrower still held, so a loan can never strand
 //    a chunk.
+//
+// Layout.  Chunks are carved from a bump pointer in 64-byte granules.  Two
+// flat arrays, grown with the bump pointer rather than the pool, index the
+// carved region by granule: a chunk header {length, refs} at each chunk's
+// first granule, and for every granule the index of the chunk base that
+// covers it.  Freed chunks go to LIFO free lists segregated by rounded
+// size, so a range is only ever reused whole and a granule's owner never
+// changes until reset(); containing() is therefore O(1).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -107,7 +114,7 @@ class Pool {
   void reset();
 
   // Statistics.
-  std::size_t chunks_live() const { return chunks_.size(); }
+  std::size_t chunks_live() const { return chunks_live_; }
   std::size_t bytes_live() const { return bytes_live_; }
   std::uint64_t total_allocs() const { return total_allocs_; }
   std::uint64_t failed_allocs() const { return failed_allocs_; }
@@ -115,13 +122,18 @@ class Pool {
  private:
   struct Chunk {
     std::uint32_t length = 0;
-    std::uint32_t refs = 0;
+    std::uint32_t refs = 0;  // 0: no live chunk starts here
   };
+  static constexpr std::uint32_t kGranule = 64;
+  static constexpr std::uint32_t kNoChunk = UINT32_MAX;  // never a base
 
+  // Rounded size of a `len`-byte chunk, or 0 when it cannot fit any pool.
   static std::uint32_t round_chunk(std::uint32_t len);
-  // Iterator to the live chunk containing `p`, or chunks_.end().
-  std::map<std::uint32_t, Chunk>::const_iterator find_containing(
-      const RichPtr& p) const;
+  // The live chunk whose header is at `offset`, or null.
+  Chunk* chunk_at(std::uint32_t offset);
+  const Chunk* chunk_at(std::uint32_t offset) const;
+  // Base offset of the live chunk containing `p`, or kNoChunk.
+  std::uint32_t find_containing(const RichPtr& p) const;
 
   std::uint32_t id_;
   std::string name_;
@@ -129,11 +141,14 @@ class Pool {
   std::uint32_t generation_ = 1;
 
   std::uint32_t bump_ = 0;  // high-water mark for fresh allocations
-  // offset -> live chunk metadata, ordered so sub-ranges resolve to their
-  // containing chunk
-  std::map<std::uint32_t, Chunk> chunks_;
-  // rounded size -> reusable offsets (simple segregated free lists)
-  std::map<std::uint32_t, std::vector<std::uint32_t>> free_lists_;
+  // Both indexed by offset / kGranule and sized bump_ / kGranule.  headers_
+  // is meaningful at chunk bases only; owner_ holds, per granule, the
+  // granule index of the chunk base covering it.
+  std::vector<Chunk> headers_;
+  std::vector<std::uint32_t> owner_;
+  // Reusable offsets by rounded size / kGranule (segregated LIFO lists).
+  std::vector<std::vector<std::uint32_t>> free_lists_;
+  std::size_t chunks_live_ = 0;
 
   // borrower -> (chunk base offset -> loans outstanding)
   std::unordered_map<std::uint32_t,
@@ -173,11 +188,11 @@ class PoolRegistry {
   // Every pool, for stats and leak checks.
   std::vector<Pool*> all();
 
-  std::size_t count() const { return pools_.size(); }
+  std::size_t count() const;
 
  private:
-  std::uint32_t next_id_ = 1;
-  std::unordered_map<std::uint32_t, std::unique_ptr<Pool>> pools_;
+  // Indexed by id - 1 (ids are sequential from 1); null once destroyed.
+  std::vector<std::unique_ptr<Pool>> pools_;
 };
 
 }  // namespace newtos::chan

@@ -84,16 +84,19 @@ std::uint16_t TcpEngine::ephemeral_port(Ipv4Addr local, Ipv4Addr peer,
         steer_shard(peer, local, pport, p, env_.shard_count) != env_.shard) {
       continue;
     }
-    bool used = false;
-    for (const auto& [key, sock] : by_tuple_) {
-      if (key.lport == p) {
-        used = true;
-        break;
-      }
-    }
-    if (!used) return p;
+    if (lport_uses_.count(p) == 0) return p;
   }
   return 0;
+}
+
+void TcpEngine::index_tuple(const ConnKey& key, SockId s) {
+  if (by_tuple_.insert_or_assign(key, s).second) ++lport_uses_[key.lport];
+}
+
+void TcpEngine::unindex_tuple(const ConnKey& key) {
+  if (by_tuple_.erase(key) == 0) return;
+  auto it = lport_uses_.find(key.lport);
+  if (--it->second == 0) lport_uses_.erase(it);
 }
 
 std::uint32_t TcpEngine::next_isn() { return isn_ += 0x10001; }
@@ -171,7 +174,7 @@ void TcpEngine::park_checkpointed() {
     // rx_done IPC, and the peer retransmits them after the restore.
     for (auto& [seq, rc] : c.ooo) env_.pools->release(rc.frame);
     c.ooo.clear();
-    by_tuple_.erase(ConnKey{c.peer.value, c.pport, c.lport});
+    unindex_tuple(ConnKey{c.peer.value, c.pport, c.lport});
     it = conns_.erase(it);
   }
   env_.ckpt = nullptr;  // the sink object dies with the host incarnation
@@ -247,7 +250,7 @@ bool TcpEngine::connect(SockId s, Ipv4Addr dst, std::uint16_t port) {
   c.rto = opts_.rto_initial;
   c.snd_wnd = opts_.mss;  // until the peer tells us
   conns_.emplace(s, std::move(c));
-  by_tuple_[ConnKey{dst.value, port, lport}] = s;
+  index_tuple(ConnKey{dst.value, port, lport}, s);
 
   Conn& ref = conns_[s];
   send_segment(ref, ref.iss, 0, tcpflag::kSyn, false);
@@ -924,7 +927,7 @@ void TcpEngine::input(L4Packet&& pkt) {
       nc.snd_wnd = static_cast<std::uint32_t>(h->window) << opts_.wscale;
       nc.parent_listener = l.sock;
       conns_.emplace(child, std::move(nc));
-      by_tuple_[ConnKey{pkt.src.value, h->src_port, h->dst_port}] = child;
+      index_tuple(ConnKey{pkt.src.value, h->src_port, h->dst_port}, child);
       Conn& ref = conns_[child];
       send_segment(ref, ref.iss, 0,
                    static_cast<std::uint8_t>(tcpflag::kSyn | tcpflag::kAck),
@@ -1313,7 +1316,7 @@ void TcpEngine::destroy_conn(SockId s, bool notify_reset) {
   for (auto& sc : c.sndq) release_payload(sc.chunk);
   for (auto& rc : c.rcvq) env_.rx_done(rc.frame);
   for (auto& [seq, rc] : c.ooo) env_.rx_done(rc.frame);
-  by_tuple_.erase(ConnKey{c.peer.value, c.pport, c.lport});
+  unindex_tuple(ConnKey{c.peer.value, c.pport, c.lport});
   const bool was_established = c.state == TcpState::Established ||
                                c.state == TcpState::CloseWait ||
                                c.state == TcpState::FinWait1 ||
@@ -1482,7 +1485,7 @@ bool TcpEngine::restore_conn(const RestoredConn& rec) {
   }
 
   conns_.emplace(rec.sock, std::move(c));
-  by_tuple_[ConnKey{rec.peer.value, rec.pport, rec.lport}] = rec.sock;
+  index_tuple(ConnKey{rec.peer.value, rec.pport, rec.lport}, rec.sock);
   if (own_sock(rec.sock)) next_sock_ = std::max(next_sock_, rec.sock + 1);
   if (rec.accept_pending) {
     auto lit = listeners_.find(rec.parent_listener);

@@ -505,6 +505,10 @@ class TcpEngine {
   // (resolves sub-ranges; forwarded payloads live in foreign pools).
   void release_payload(const chan::RichPtr& p);
   Conn* conn_by_tuple(Ipv4Addr peer, std::uint16_t pport, std::uint16_t lport);
+  // Every by_tuple_ insert and erase goes through these two, which keep
+  // lport_uses_ in step with the index.
+  void index_tuple(const ConnKey& key, SockId s);
+  void unindex_tuple(const ConnKey& key);
   // Picks a free ephemeral port; with replicas, one whose inbound 4-tuple
   // (peer:pport -> local:port) steers back to this shard.
   std::uint16_t ephemeral_port(Ipv4Addr local, Ipv4Addr peer,
@@ -592,6 +596,8 @@ class TcpEngine {
   std::unordered_map<std::uint16_t, SockId> listen_ports_;
   std::unordered_map<SockId, Conn> conns_;
   std::map<ConnKey, SockId> by_tuple_;
+  // Local port -> by_tuple_ keys using it (absent when none).
+  std::unordered_map<std::uint16_t, std::uint32_t> lport_uses_;
   std::unordered_map<std::uint64_t, chan::RichPtr> hdr_inflight_;
   // Sockets created by open() but not yet listener/connection.
   std::unordered_map<SockId, TupleInfo> embryos_;

@@ -2,12 +2,19 @@
 //
 // Events with equal timestamps fire in submission order, which keeps every
 // simulation run bit-for-bit reproducible regardless of host scheduling.
+//
+// Layout.  The heap holds 24-byte POD entries {t, seq, slot} in a 4-ary
+// heap ordered by (t, seq); seq is a per-queue submission counter, so the
+// order is total and independent of the heap's shape.  Callbacks live in a
+// slab of slots beside the heap and are never moved by a sift.  An EventId
+// is (generation << 32) | slot: cancel() checks the slot's generation, so
+// an id whose slot was recycled cancels nothing.  A cancelled callback is
+// destroyed at once; its heap entry is dropped lazily when it surfaces, and
+// only then is the slot reused (LIFO).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -15,6 +22,7 @@
 namespace newtos::sim {
 
 using EventFn = std::function<void()>;
+// Never 0: timer owners use 0 as "no event".
 using EventId = std::uint64_t;
 
 class EventQueue {
@@ -29,29 +37,39 @@ class EventQueue {
   // Fires the earliest pending event.  Returns false when empty.
   bool pop_and_run();
 
-  bool empty() const { return pending_.empty(); }
-  std::size_t size() const { return pending_.size(); }
+  // Live (pending, not cancelled) events.
+  bool empty() const { return live_ == 0; }
+  std::size_t size() const { return live_; }
 
   // Timestamp of the earliest live event; undefined when empty().
   Time next_time();
 
  private:
-  struct Event {
+  struct Entry {
     Time t;
-    EventId id;
-    EventFn fn;
+    std::uint64_t seq;
+    std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      return a.t > b.t || (a.t == b.t && a.id > b.id);
-    }
+  struct Slot {
+    EventFn fn;
+    std::uint32_t gen = 1;
+    bool live = false;
   };
 
+  static bool before(const Entry& a, const Entry& b) {
+    return a.t < b.t || (a.t == b.t && a.seq < b.seq);
+  }
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  // Removes the root entry and recycles its slot.
+  void pop_root();
   void drop_cancelled();
 
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
-  std::unordered_set<EventId> pending_;
-  EventId next_id_ = 1;
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::uint64_t next_seq_ = 0;
+  std::size_t live_ = 0;
 };
 
 }  // namespace newtos::sim

@@ -24,22 +24,26 @@ void SimCore::schedule_next() {
     return;
   }
   running_ = true;
-  Pending next = std::move(tasks_.front());
+  Pending& next = tasks_.front();
+  const Time start = std::max({next.earliest, sim_.now(), free_at_});
+  current_ = std::move(next.task);
   tasks_.pop_front();
-  const Time start =
-      std::max({next.earliest, sim_.now(), free_at_});
-  sim_.at(start, [this, start, task = std::move(next.task)]() mutable {
-    Context ctx(sim_, *this, start);
-    task(ctx);
-    busy_cycles_ += ctx.charged();
-    ++tasks_run_;
-    free_at_ = start + sim_.costs().cycles_to_time(ctx.charged());
-    if (free_at_ > sim_.now()) {
-      sim_.at(free_at_, [this] { schedule_next(); });
-    } else {
-      schedule_next();
-    }
-  });
+  // Captures fit std::function's inline buffer: no closure is allocated.
+  sim_.at(start, [this, start] { run_current(start); });
+}
+
+void SimCore::run_current(Time start) {
+  CoreTask task = std::move(current_);
+  Context ctx(sim_, *this, start);
+  task(ctx);
+  busy_cycles_ += ctx.charged();
+  ++tasks_run_;
+  free_at_ = start + sim_.costs().cycles_to_time(ctx.charged());
+  if (free_at_ > sim_.now()) {
+    sim_.at(free_at_, [this] { schedule_next(); });
+  } else {
+    schedule_next();
+  }
 }
 
 double SimCore::utilization(Time window) const {
@@ -64,14 +68,23 @@ SimCore& Simulator::add_core(std::string name) {
   return *cores_.back();
 }
 
+void Simulator::fire(Time t) {
+  now_ = std::max(now_, t);
+  events_.pop_and_run();
+}
+
 bool Simulator::step() {
   if (events_.empty()) return false;
-  now_ = std::max(now_, events_.next_time());
-  return events_.pop_and_run();
+  fire(events_.next_time());
+  return true;
 }
 
 void Simulator::run_until(Time t) {
-  while (!events_.empty() && events_.next_time() <= t) step();
+  while (!events_.empty()) {
+    const Time next = events_.next_time();
+    if (next > t) break;
+    fire(next);
+  }
   now_ = std::max(now_, t);
 }
 

@@ -76,6 +76,7 @@ class SimCore {
 
  private:
   void schedule_next();
+  void run_current(Time start);
 
   Simulator& sim_;
   std::string name_;
@@ -85,6 +86,9 @@ class SimCore {
     CoreTask task;
   };
   std::deque<Pending> tasks_;
+  // The task whose start event is scheduled; parked here so that event's
+  // closure captures only (this, start).
+  CoreTask current_;
   bool running_ = false;
   Time free_at_ = 0;
   Cycles busy_cycles_ = 0;
@@ -121,6 +125,9 @@ class Simulator {
   bool step();
 
  private:
+  // Advances now() to `t`, the earliest live event's time, and fires it.
+  void fire(Time t);
+
   Time now_ = 0;
   CostModel costs_;
   EventQueue events_;

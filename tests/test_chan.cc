@@ -2,7 +2,11 @@
 // pools with rich pointers, request database, registry and channel manager.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "src/chan/channel.h"
@@ -10,6 +14,7 @@
 #include "src/chan/registry.h"
 #include "src/chan/request_db.h"
 #include "src/chan/spsc_ring.h"
+#include "src/sim/rng.h"
 
 using namespace newtos::chan;
 
@@ -172,6 +177,315 @@ TEST(Pool, DmaWriteRespectsBounds) {
   EXPECT_FALSE(pool.dma_write(p, big));
   pool.reset();
   EXPECT_FALSE(pool.dma_write(p, small));  // stale generation
+}
+
+TEST(Pool, ContainingResolvesSubRanges) {
+  Pool pool(1, "t", 1 << 12);
+  const RichPtr a = pool.alloc(64);   // [0, 64)
+  const RichPtr b = pool.alloc(200);  // [64, 264), slack to 320
+  const RichPtr c = pool.alloc(10);   // [320, 330)
+  ASSERT_EQ(b.offset, 64u);
+  ASSERT_EQ(c.offset, 320u);
+  const std::uint32_t g = b.generation;
+  EXPECT_EQ(pool.containing(a), a);
+  EXPECT_EQ(pool.containing(b), b);
+  // Unaligned and interior slices, one spanning a granule boundary.
+  EXPECT_EQ(pool.containing(RichPtr{1, 100, 50, g}), b);
+  EXPECT_EQ(pool.containing(RichPtr{1, 128, 64, g}), b);
+  EXPECT_EQ(pool.containing(RichPtr{1, 263, 1, g}), b);
+  EXPECT_EQ(pool.containing(RichPtr{1, 321, 9, g}), c);
+  // One past the end: into b's rounding slack, past c, past the carved
+  // region, and a slice running one byte over b's end.
+  EXPECT_FALSE(pool.containing(RichPtr{1, 264, 1, g}).valid());
+  EXPECT_FALSE(pool.containing(RichPtr{1, 330, 1, g}).valid());
+  EXPECT_FALSE(pool.containing(RichPtr{1, 4000, 1, g}).valid());
+  EXPECT_FALSE(pool.containing(RichPtr{1, 200, 65, g}).valid());
+  // Straddling two chunks, foreign, stale and empty pointers.
+  EXPECT_FALSE(pool.containing(RichPtr{1, 60, 8, g}).valid());
+  EXPECT_FALSE(pool.containing(RichPtr{2, 100, 8, g}).valid());
+  EXPECT_FALSE(pool.containing(RichPtr{1, 100, 8, g + 1}).valid());
+  EXPECT_FALSE(pool.containing(RichPtr{1, 100, 0, g}).valid());
+
+  // A freed chunk contains nothing; a shorter chunk of the same size class
+  // reuses its offset and resolves only within its own length.
+  EXPECT_TRUE(pool.release(b));
+  EXPECT_FALSE(pool.containing(RichPtr{1, 100, 50, g}).valid());
+  const RichPtr b2 = pool.alloc(193);  // [64, 257)
+  ASSERT_EQ(b2.offset, b.offset);
+  EXPECT_EQ(pool.containing(RichPtr{1, 100, 50, g}), b2);
+  EXPECT_EQ(pool.containing(RichPtr{1, 256, 1, g}), b2);
+  EXPECT_FALSE(pool.containing(RichPtr{1, 257, 1, g}).valid());
+  EXPECT_FALSE(pool.containing(RichPtr{1, 200, 60, g}).valid());
+}
+
+TEST(Pool, InteriorOffsetsAreNotChunks) {
+  Pool pool(1, "t", 1 << 12);
+  const RichPtr p = pool.alloc(300);
+  const RichPtr aligned{1, p.offset + 64, 64, p.generation};
+  const RichPtr unaligned{1, p.offset + 10, 10, p.generation};
+  EXPECT_TRUE(pool.live(p));
+  EXPECT_FALSE(pool.live(aligned));
+  EXPECT_FALSE(pool.live(unaligned));
+  EXPECT_FALSE(pool.release(aligned));
+  EXPECT_FALSE(pool.release(unaligned));
+  // addref on a non-chunk is a bug (asserted); without asserts it must not
+  // touch the chunk around it.
+  EXPECT_DEBUG_DEATH(pool.addref(aligned), "addref on a freed chunk");
+  EXPECT_EQ(pool.chunks_live(), 1u);
+  EXPECT_TRUE(pool.release(p));  // still exactly one reference
+  EXPECT_EQ(pool.chunks_live(), 0u);
+}
+
+// The free lists are LIFO per rounded size; every RichPtr offset in the
+// stack depends on that order, so it is pinned here.
+TEST(Pool, OffsetsFollowLifoFreeLists) {
+  Pool pool(1, "t", 1 << 14);
+  std::vector<std::uint32_t> offsets;
+  auto take = [&](std::uint32_t len) {
+    const RichPtr p = pool.alloc(len);
+    offsets.push_back(p.offset);
+    return p;
+  };
+  const RichPtr a = take(64);
+  const RichPtr b = take(100);
+  const RichPtr c = take(64);
+  const RichPtr d = take(128);
+  const RichPtr e = take(1);
+  pool.release(a);
+  pool.release(c);
+  pool.release(e);
+  take(10);
+  take(64);
+  take(20);
+  take(64);
+  pool.release(b);
+  pool.release(d);
+  take(65);
+  take(128);
+  take(128);
+  EXPECT_EQ(offsets, (std::vector<std::uint32_t>{0, 64, 192, 256, 384, 384,
+                                                  192, 0, 448, 256, 64, 512}));
+}
+
+TEST(Pool, ResetDropsHeadersAndLedger) {
+  Pool pool(1, "t", 1 << 12);
+  const RichPtr p = pool.alloc(200);
+  pool.note_borrow(p, 7);
+  ASSERT_EQ(pool.borrows_outstanding(), 1u);
+  pool.reset();
+  EXPECT_EQ(pool.chunks_live(), 0u);
+  EXPECT_EQ(pool.bytes_live(), 0u);
+  EXPECT_EQ(pool.borrows_outstanding(), 0u);
+  EXPECT_TRUE(pool.borrowers().empty());
+  EXPECT_FALSE(pool.containing(p).valid());
+  // The new generation starts carving from offset 0 again; neither the old
+  // pointer nor the old loan reaches the new chunk there.
+  const RichPtr q = pool.alloc(64);
+  ASSERT_EQ(q.offset, p.offset);
+  EXPECT_FALSE(pool.note_return(p, 7));
+  EXPECT_FALSE(pool.note_return(q, 7));
+  EXPECT_EQ(pool.reclaim(7), 0u);
+  EXPECT_EQ(pool.containing(RichPtr{1, 10, 10, q.generation}), q);
+  EXPECT_FALSE(pool.containing(RichPtr{1, 100, 10, q.generation}).valid());
+  EXPECT_TRUE(pool.release(q));
+}
+
+namespace {
+
+// The pool's rules written over ordered maps: chunk headers by offset
+// (sub-ranges resolve through upper_bound), free lists by rounded size.
+// reclaim() releases in the ledger's iteration order, which fixes later
+// free-list order, so the per-borrower ledger has the pool's own type.
+class RefPool {
+ public:
+  RefPool(std::uint32_t id, std::uint32_t size) : id_(id), size_(size) {}
+
+  RichPtr alloc(std::uint32_t len) {
+    if (len == 0) return kNullRichPtr;
+    const std::uint32_t rounded = (len + 63u) & ~63u;
+    std::uint32_t off;
+    auto& fl = free_[rounded];
+    if (!fl.empty()) {
+      off = fl.back();
+      fl.pop_back();
+    } else {
+      if (bump_ + rounded > size_) return kNullRichPtr;
+      off = bump_;
+      bump_ += rounded;
+    }
+    chunks_[off] = Chunk{len, 1};
+    return RichPtr{id_, off, len, gen_};
+  }
+  bool live(const RichPtr& p) const {
+    if (p.pool != id_ || p.generation != gen_) return false;
+    auto it = chunks_.find(p.offset);
+    return it != chunks_.end() && it->second.length >= p.length;
+  }
+  void addref(const RichPtr& p) { ++chunks_.at(p.offset).refs; }
+  bool release(const RichPtr& p) {
+    if (p.generation != gen_) return false;
+    auto it = chunks_.find(p.offset);
+    if (it == chunks_.end() || --it->second.refs > 0) return false;
+    free_[(it->second.length + 63u) & ~63u].push_back(p.offset);
+    chunks_.erase(it);
+    return true;
+  }
+  RichPtr containing(const RichPtr& p) const {
+    const auto base = owner(p);
+    return base ? RichPtr{id_, *base, chunks_.at(*base).length, gen_}
+                : kNullRichPtr;
+  }
+  void note_borrow(const RichPtr& p, std::uint32_t borrower) {
+    if (const auto base = owner(p)) ++ledger_[borrower][*base];
+  }
+  bool note_return(const RichPtr& p, std::uint32_t borrower) {
+    if (p.pool != id_ || p.generation != gen_) return false;
+    auto lit = ledger_.find(borrower);
+    const auto base = owner(p);
+    if (lit == ledger_.end() || !base) return false;
+    auto eit = lit->second.find(*base);
+    if (eit == lit->second.end()) return false;
+    if (--eit->second == 0) lit->second.erase(eit);
+    if (lit->second.empty()) ledger_.erase(lit);
+    return true;
+  }
+  std::size_t reclaim(std::uint32_t borrower) {
+    auto lit = ledger_.find(borrower);
+    if (lit == ledger_.end()) return 0;
+    auto loans = std::move(lit->second);
+    ledger_.erase(lit);
+    std::size_t n = 0;
+    for (const auto& [off, count] : loans) {
+      for (std::uint32_t k = 0; k < count && chunks_.count(off); ++k, ++n) {
+        release(RichPtr{id_, off, chunks_.at(off).length, gen_});
+      }
+    }
+    return n;
+  }
+  void reset() {
+    chunks_.clear();
+    free_.clear();
+    ledger_.clear();
+    bump_ = 0;
+    ++gen_;
+  }
+  std::size_t chunks_live() const { return chunks_.size(); }
+  std::size_t bytes_live() const {
+    std::size_t n = 0;
+    for (const auto& [off, c] : chunks_) n += c.length;
+    return n;
+  }
+  std::size_t borrows_outstanding() const {
+    std::size_t n = 0;
+    for (const auto& [b, loans] : ledger_) {
+      for (const auto& [off, count] : loans) n += count;
+    }
+    return n;
+  }
+
+ private:
+  struct Chunk {
+    std::uint32_t length;
+    std::uint32_t refs;
+  };
+  std::optional<std::uint32_t> owner(const RichPtr& p) const {
+    if (p.pool != id_ || p.generation != gen_ || !p.valid())
+      return std::nullopt;
+    auto it = chunks_.upper_bound(p.offset);
+    if (it == chunks_.begin()) return std::nullopt;
+    --it;
+    if (std::uint64_t{p.offset} + p.length >
+        std::uint64_t{it->first} + it->second.length)
+      return std::nullopt;
+    return it->first;
+  }
+
+  std::uint32_t id_;
+  std::uint32_t size_;
+  std::uint32_t gen_ = 1;
+  std::uint32_t bump_ = 0;
+  std::map<std::uint32_t, Chunk> chunks_;
+  std::map<std::uint32_t, std::vector<std::uint32_t>> free_;
+  std::map<std::uint32_t, std::unordered_map<std::uint32_t, std::uint32_t>>
+      ledger_;
+};
+
+}  // namespace
+
+// A seeded random mix of every owner-side operation, against RefPool.
+// The pool is small enough to run out, so failed allocations are covered.
+TEST(Pool, MatchesAnOrderedMapReference) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    newtos::sim::Rng rng(seed);
+    Pool pool(1, "t", 1 << 16);
+    RefPool ref(1, 1 << 16);
+    std::vector<RichPtr> handed;  // every pointer ever allocated
+    // A random pointer into or around a handed-out chunk: whole, a slice,
+    // past its end, or unaligned.
+    auto some_ptr = [&]() -> RichPtr {
+      RichPtr p = handed[rng.below(handed.size())];
+      switch (rng.below(4)) {
+        case 0:
+          return p;
+        case 1: {
+          const auto skip = static_cast<std::uint32_t>(rng.below(p.length));
+          p.offset += skip;
+          p.length = 1 + static_cast<std::uint32_t>(rng.below(p.length - skip));
+          return p;
+        }
+        case 2:
+          p.offset += static_cast<std::uint32_t>(rng.below(p.length + 64));
+          p.length = 1 + static_cast<std::uint32_t>(rng.below(128));
+          return p;
+        default:
+          p.offset += 1 + static_cast<std::uint32_t>(rng.below(63));
+          return p;
+      }
+    };
+    for (int op = 0; op < 100000; ++op) {
+      const std::uint64_t r = rng.below(100);
+      const auto borrower = static_cast<std::uint32_t>(1 + rng.below(4));
+      if (r < 30 || handed.empty()) {
+        const auto len = static_cast<std::uint32_t>(rng.below(700));
+        const RichPtr got = pool.alloc(len);
+        ASSERT_EQ(got, ref.alloc(len)) << "op " << op << " alloc " << len;
+        if (got.valid()) handed.push_back(got);
+      } else if (r < 55) {
+        const RichPtr p = some_ptr();
+        ASSERT_EQ(pool.release(p), ref.release(p)) << "op " << op;
+      } else if (r < 60) {
+        const RichPtr p = handed[rng.below(handed.size())];
+        ASSERT_EQ(pool.live(p), ref.live(p)) << "op " << op;
+        if (ref.live(p)) {
+          pool.addref(p);
+          ref.addref(p);
+        }
+      } else if (r < 75) {
+        const RichPtr p = some_ptr();
+        ASSERT_EQ(pool.containing(p), ref.containing(p)) << "op " << op;
+        ASSERT_EQ(pool.live(p), ref.live(p)) << "op " << op;
+      } else if (r < 85) {
+        const RichPtr p = some_ptr();
+        pool.note_borrow(p, borrower);
+        ref.note_borrow(p, borrower);
+      } else if (r < 95) {
+        const RichPtr p = some_ptr();
+        ASSERT_EQ(pool.note_return(p, borrower), ref.note_return(p, borrower))
+            << "op " << op;
+      } else if (r < 99 || rng.below(50) != 0) {
+        ASSERT_EQ(pool.reclaim(borrower), ref.reclaim(borrower))
+            << "op " << op;
+      } else {
+        pool.reset();
+        ref.reset();
+      }
+      ASSERT_EQ(pool.chunks_live(), ref.chunks_live()) << "op " << op;
+      ASSERT_EQ(pool.bytes_live(), ref.bytes_live()) << "op " << op;
+      ASSERT_EQ(pool.borrows_outstanding(), ref.borrows_outstanding())
+          << "op " << op;
+    }
+  }
 }
 
 // --- Queue + doorbell ---------------------------------------------------------------------

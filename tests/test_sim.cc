@@ -1,6 +1,8 @@
 // Unit tests: discrete-event simulator (event queue, cores, cost model).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "src/sim/rng.h"
@@ -58,6 +60,109 @@ TEST(EventQueue, EventsMayScheduleMoreEvents) {
   while (q.pop_and_run()) {
   }
   EXPECT_EQ(count, 5);
+}
+
+TEST(EventQueue, IdsAreNeverZero) {
+  EventQueue q;
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_NE(q.push(i, [] {}), 0u);
+    if (i % 3 == 0) q.pop_and_run();
+  }
+}
+
+TEST(EventQueue, CancelOfARecycledIdLeavesTheNewEventAlone) {
+  EventQueue q;
+  const EventId fired_id = q.push(10, [] {});
+  const EventId cancelled_id = q.push(20, [] {});
+  EXPECT_TRUE(q.cancel(cancelled_id));
+  EXPECT_TRUE(q.pop_and_run());   // fires the first, frees its slot
+  EXPECT_FALSE(q.pop_and_run());  // drops the cancelled entry, frees its slot
+  int fired = 0;
+  const EventId a = q.push(30, [&] { fired += 1; });
+  const EventId b = q.push(40, [&] { fired += 10; });
+  // Both old slots were recycled under new ids.
+  EXPECT_NE(a, fired_id);
+  EXPECT_NE(a, cancelled_id);
+  EXPECT_NE(b, fired_id);
+  EXPECT_NE(b, cancelled_id);
+  EXPECT_FALSE(q.cancel(fired_id));
+  EXPECT_FALSE(q.cancel(cancelled_id));
+  EXPECT_EQ(q.size(), 2u);
+  while (q.pop_and_run()) {
+  }
+  EXPECT_EQ(fired, 11);
+}
+
+TEST(EventQueue, EmptyAndSizeIgnoreCancelledEntries) {
+  EventQueue q;
+  const EventId a = q.push(10, [] {});
+  const EventId b = q.push(20, [] {});
+  const EventId c = q.push(30, [] {});
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_TRUE(q.cancel(a));
+  EXPECT_TRUE(q.cancel(c));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_FALSE(q.empty());
+  EXPECT_TRUE(q.cancel(b));
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.pop_and_run());
+}
+
+TEST(EventQueue, NextTimeSkipsCancelledHeads) {
+  EventQueue q;
+  const EventId a = q.push(5, [] {});
+  const EventId b = q.push(10, [] {});
+  q.push(15, [] {});
+  EXPECT_EQ(q.next_time(), 5);
+  EXPECT_TRUE(q.cancel(a));
+  EXPECT_TRUE(q.cancel(b));
+  EXPECT_EQ(q.next_time(), 15);
+}
+
+// A seeded random mix of push, cancel and pop against a reference ordered
+// by (time, submission number).  Both must fire the same events in the
+// same order and agree on every cancel() result.
+TEST(EventQueue, MatchesAnOrderedMapReference) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    EventQueue q;
+    std::map<std::pair<Time, std::uint64_t>, int> ref;  // key -> token
+    std::vector<EventId> ids;                    // by token
+    std::vector<std::pair<Time, std::uint64_t>> keys;  // by token
+    std::vector<int> fired;
+    std::uint64_t seq = 0;
+    for (int op = 0; op < 100000; ++op) {
+      const std::uint64_t r = rng.below(10);
+      if (r < 5) {
+        // Narrow time range: many equal timestamps.
+        const Time t = static_cast<Time>(rng.below(200));
+        const int token = static_cast<int>(ids.size());
+        ids.push_back(q.push(t, [&fired, token] { fired.push_back(token); }));
+        keys.emplace_back(t, seq++);
+        ref.emplace(keys.back(), token);
+      } else if (r < 7 && !ids.empty()) {
+        const auto token = static_cast<std::size_t>(rng.below(ids.size()));
+        const bool want = ref.erase(keys[token]) != 0;
+        ASSERT_EQ(q.cancel(ids[token]), want) << "op " << op;
+      } else {
+        const bool want = !ref.empty();
+        if (want) {
+          ASSERT_EQ(q.next_time(), ref.begin()->first.first) << "op " << op;
+        }
+        fired.clear();
+        ASSERT_EQ(q.pop_and_run(), want) << "op " << op;
+        if (want) {
+          ASSERT_EQ(fired, std::vector<int>{ref.begin()->second})
+              << "op " << op;
+          ref.erase(ref.begin());
+        }
+      }
+      ASSERT_EQ(q.size(), ref.size()) << "op " << op;
+      ASSERT_EQ(q.empty(), ref.empty()) << "op " << op;
+    }
+  }
 }
 
 TEST(Simulator, TimeAdvancesMonotonically) {

@@ -8,7 +8,9 @@
 
 #include <deque>
 #include <memory>
+#include <set>
 
+#include "src/net/steering.h"
 #include "src/net/tcp.h"
 #include "src/sim/rng.h"
 #include "src/sim/sim.h"
@@ -20,13 +22,17 @@ namespace {
 
 class Harness {
  public:
-  explicit Harness(TcpOptions opts = TcpOptions{}, double loss_a_to_b = 0.0)
+  // With a_shards > 1, engine a is the last of that many transport
+  // replicas, so its ephemeral ports must steer back to it.
+  explicit Harness(TcpOptions opts = TcpOptions{}, double loss_a_to_b = 0.0,
+                   int a_shards = 1)
       : loss_(loss_a_to_b), rng_(1234) {
     pool_a_ = &pools_.create("a", "buf", 8u << 20);
     pool_b_ = &pools_.create("b", "buf", 8u << 20);
     rx_pool_ = &pools_.create("wire", "rx", 32u << 20);
-    a_ = make_engine(pool_a_, addr_a_, addr_b_, opts, /*to_b=*/true);
-    b_ = make_engine(pool_b_, addr_b_, addr_a_, opts, /*to_b=*/false);
+    a_ = make_engine(pool_a_, addr_a_, addr_b_, opts, /*to_b=*/true,
+                     a_shards);
+    b_ = make_engine(pool_b_, addr_b_, addr_a_, opts, /*to_b=*/false, 1);
   }
 
   TcpEngine& a() { return *a_; }
@@ -76,8 +82,10 @@ class Harness {
 
   std::unique_ptr<TcpEngine> make_engine(chan::Pool* pool, Ipv4Addr self,
                                          Ipv4Addr peer, TcpOptions opts,
-                                         bool to_b) {
+                                         bool to_b, int shards) {
     TcpEngine::Env env;
+    env.shard = shards - 1;
+    env.shard_count = shards;
     env.clock = &clock_;
     env.timers = &timers_;
     env.pools = &pools_;
@@ -333,4 +341,110 @@ TEST(Tcp, EphemeralPortsDoNotCollide) {
   }
   h.run(50 * sim::kMillisecond);
   EXPECT_EQ(h.a().stats().conns_established, 20u);
+}
+
+namespace {
+
+// The ephemeral-port picker written as a scan over every connection's
+// local port: the reference sequence the engine's per-port use counts must
+// reproduce exactly.
+struct PortScanModel {
+  Ipv4Addr local;
+  Ipv4Addr peer;
+  std::uint16_t pport = 0;
+  int shard = 0;
+  int shards = 1;
+  std::uint16_t next = 30000;
+  std::set<std::uint16_t> listen;
+  std::multiset<std::uint16_t> used;
+
+  std::uint16_t pick() {
+    for (int guard = 0; guard < 65536; ++guard) {
+      const std::uint16_t p = next++;
+      if (next < 30000) next = 30000;
+      if (listen.count(p)) continue;
+      if (shards > 1 && steer_shard(peer, local, pport, p, shards) != shard)
+        continue;
+      if (used.count(p) == 0) return p;
+    }
+    return 0;
+  }
+};
+
+}  // namespace
+
+TEST(Tcp, EphemeralPortsFollowTheScanOrderAndReuseFreedPorts) {
+  Harness h(TcpOptions{}, 0.0, /*a_shards=*/2);
+  const Ipv4Addr a_addr(10, 0, 0, 1);
+  const Ipv4Addr b_addr(10, 0, 0, 2);
+  SockId ls = h.b().open();
+  ASSERT_TRUE(h.b().bind(ls, Ipv4Addr{}, 80));
+  ASSERT_TRUE(h.b().listen(ls, 64));
+
+  PortScanModel model;
+  model.local = a_addr;
+  model.peer = b_addr;
+  model.pport = 80;
+  model.shard = 1;
+  model.shards = 2;
+  // A listener on the sixth port the scan would hand out: it must be
+  // skipped, not just the ports that steer to the other replica.
+  PortScanModel probe = model;
+  for (int k = 0; k < 5; ++k) probe.pick();
+  const std::uint16_t listen_port = probe.pick();
+  SockId al = h.a().open();
+  ASSERT_TRUE(h.a().bind(al, Ipv4Addr{}, listen_port));
+  ASSERT_TRUE(h.a().listen(al, 1));
+  model.listen.insert(listen_port);
+
+  // Opens one connection to b:80 and checks its port against the model.
+  auto open_one = [&](int i) -> std::pair<SockId, std::uint16_t> {
+    const std::uint16_t want = model.pick();
+    EXPECT_NE(want, 0) << "connection " << i;
+    const SockId s = h.a().open();
+    EXPECT_TRUE(h.a().connect(s, b_addr, 80)) << "connection " << i;
+    const auto t = h.a().tuple(s);
+    const std::uint16_t got = t ? t->lport : 0;
+    EXPECT_EQ(got, want) << "connection " << i;
+    if (i % 500 == 0) h.run(sim::kMillisecond);
+    return {s, got};
+  };
+
+  std::vector<std::pair<SockId, std::uint16_t>> conns;
+  std::set<std::uint16_t> ports;
+  for (int i = 0; i < 2000; ++i) {
+    conns.push_back(open_one(i));
+    ASSERT_FALSE(HasFailure());
+    EXPECT_TRUE(ports.insert(conns.back().second).second) << "duplicate";
+    model.used.insert(conns.back().second);
+  }
+  EXPECT_EQ(ports.count(listen_port), 0u);
+
+  // Close every other connection; the scan order is ascending until it
+  // wraps, so the freed ports are listed in the order they come back.
+  std::vector<std::uint16_t> freed;
+  std::set<std::uint16_t> freed_set;
+  for (std::size_t i = 0; i < conns.size(); i += 2) {
+    h.a().abort(conns[i].first);
+    model.used.erase(model.used.find(conns[i].second));
+    freed.push_back(conns[i].second);
+    freed_set.insert(conns[i].second);
+  }
+  h.run(sim::kMillisecond);
+
+  // One-shot connections walk the rest of the range; after the wrap the
+  // picker must hand the freed ports out again, in the scan's order.
+  std::vector<std::uint16_t> reused;
+  for (int i = 0; reused.size() < freed.size(); ++i) {
+    ASSERT_LT(i, 70000) << "freed ports never came back";
+    const auto [s, port] = open_one(i);
+    ASSERT_FALSE(HasFailure());
+    if (freed_set.count(port)) {
+      reused.push_back(port);
+      model.used.insert(port);
+    } else {
+      h.a().abort(s);
+    }
+  }
+  EXPECT_EQ(reused, freed);
 }
