@@ -22,24 +22,18 @@ class Doorbell {
  public:
   using WakeFn = std::function<void()>;
 
-  // Consumer: arm before halting.  The callback fires on the next ring.
-  void arm(WakeFn on_ring) {
-    on_ring_ = std::move(on_ring);
-    armed_ = true;
-  }
-  void disarm() {
-    armed_ = false;
-    on_ring_ = nullptr;
-  }
+  // Consumer: sets the callback once; every later arming reuses it.
+  void bind(WakeFn on_ring) { on_ring_ = std::move(on_ring); }
+  // Consumer: arm before halting.  The bound callback fires on the next
+  // ring.
+  void arm() { armed_ = true; }
   bool armed() const { return armed_; }
 
   // Producer: called after every enqueue.  Consumes the arming.
   void ring() {
     if (!armed_) return;
     armed_ = false;
-    WakeFn fn = std::move(on_ring_);
-    on_ring_ = nullptr;
-    fn();
+    on_ring_();
   }
 
  private:
@@ -82,7 +76,7 @@ class Queue {
   // are meaningless; the request database drives recovery).
   void reset() {
     ring_.reset();
-    bell_.disarm();
+    bell_ = Doorbell{};
   }
 
   std::uint64_t sends() const { return sends_; }

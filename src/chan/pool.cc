@@ -1,10 +1,20 @@
 #include "src/chan/pool.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <memory>
 #include <utility>
 
 namespace newtos::chan {
+
+namespace {
+
+std::uint64_t loan_key(std::uint32_t borrower, std::uint32_t base) {
+  return (std::uint64_t{borrower} << 32) | base;
+}
+
+}  // namespace
 
 Pool::Pool(std::uint32_t id, std::string name, std::size_t size_bytes)
     : id_(id), name_(std::move(name)), bytes_(size_bytes) {
@@ -104,37 +114,86 @@ RichPtr Pool::containing(const RichPtr& p) const {
   return RichPtr{id_, base, headers_[base / kGranule].length, generation_};
 }
 
+std::size_t Pool::loan_bucket(std::uint64_t key) const {
+  // Fibonacci hashing: the top bits of the product depend on every key bit.
+  const int bits = std::countr_zero(ledger_.size());
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                  (64 - bits));
+}
+
+std::size_t Pool::find_loan(std::uint64_t key) const {
+  const std::size_t mask = ledger_.size() - 1;
+  std::size_t b = loan_bucket(key);
+  while (ledger_[b].count != 0 && ledger_[b].key != key) b = (b + 1) & mask;
+  return b;
+}
+
+void Pool::erase_loan(std::size_t bucket) {
+  // Backward shift: pull each later entry of the probe run into the hole
+  // unless its home bucket lies cyclically after the hole.
+  const std::size_t mask = ledger_.size() - 1;
+  std::size_t hole = bucket;
+  for (std::size_t b = (hole + 1) & mask; ledger_[b].count != 0;
+       b = (b + 1) & mask) {
+    const std::size_t home = loan_bucket(ledger_[b].key);
+    if (((b - home) & mask) >= ((b - hole) & mask)) {
+      ledger_[hole] = ledger_[b];
+      hole = b;
+    }
+  }
+  ledger_[hole] = Loan{};
+  --ledger_used_;
+}
+
+void Pool::grow_ledger() {
+  std::vector<Loan> old = std::move(ledger_);
+  ledger_.assign(old.empty() ? 64 : old.size() * 2, Loan{});
+  for (const Loan& l : old) {
+    if (l.count != 0) ledger_[find_loan(l.key)] = l;
+  }
+}
+
 void Pool::note_borrow(const RichPtr& p, std::uint32_t borrower) {
   const std::uint32_t base = find_containing(p);
   if (base == kNoChunk) return;
-  ++ledger_[borrower][base];
+  if (2 * (ledger_used_ + 1) > ledger_.size()) grow_ledger();
+  const std::uint64_t key = loan_key(borrower, base);
+  Loan& l = ledger_[find_loan(key)];
+  if (l.count == 0) {
+    l.key = key;
+    ++ledger_used_;
+  }
+  ++l.count;
   ++borrows_outstanding_;
 }
 
 bool Pool::note_return(const RichPtr& p, std::uint32_t borrower) {
   if (p.pool != id_ || p.generation != generation_) return false;
-  auto lit = ledger_.find(borrower);
-  if (lit == ledger_.end()) return false;
+  if (ledger_used_ == 0) return false;
   const std::uint32_t base = find_containing(p);
   if (base == kNoChunk) return false;
-  auto eit = lit->second.find(base);
-  if (eit == lit->second.end()) return false;
-  if (--eit->second == 0) lit->second.erase(eit);
-  if (lit->second.empty()) ledger_.erase(lit);
+  const std::size_t b = find_loan(loan_key(borrower, base));
+  if (ledger_[b].count == 0) return false;
+  if (--ledger_[b].count == 0) erase_loan(b);
   --borrows_outstanding_;
   return true;
 }
 
 std::size_t Pool::reclaim(std::uint32_t borrower) {
-  auto lit = ledger_.find(borrower);
-  if (lit == ledger_.end()) return 0;
-  // Move out first: release() mutates the chunk headers but not the ledger.
-  auto loans = std::move(lit->second);
-  ledger_.erase(lit);
+  // Take the borrower's loans off the ledger first: release() mutates the
+  // chunk headers but not the ledger.
+  std::vector<Loan> loans;
+  for (const Loan& l : ledger_) {
+    if (l.count != 0 && (l.key >> 32) == borrower) loans.push_back(l);
+  }
+  for (const Loan& l : loans) erase_loan(find_loan(l.key));
+  std::sort(loans.begin(), loans.end(),
+            [](const Loan& a, const Loan& b) { return a.key < b.key; });
   std::size_t reclaimed = 0;
-  for (const auto& [offset, count] : loans) {
-    borrows_outstanding_ -= count;
-    for (std::uint32_t k = 0; k < count; ++k) {
+  for (const Loan& l : loans) {
+    const auto offset = static_cast<std::uint32_t>(l.key);
+    borrows_outstanding_ -= l.count;
+    for (std::uint32_t k = 0; k < l.count; ++k) {
       const Chunk* c = chunk_at(offset);
       if (c == nullptr) break;  // already gone; nothing stranded
       release(RichPtr{id_, offset, c->length, generation_});
@@ -142,6 +201,16 @@ std::size_t Pool::reclaim(std::uint32_t borrower) {
     }
   }
   return reclaimed;
+}
+
+std::vector<std::uint32_t> Pool::borrowers() const {
+  std::vector<std::uint32_t> out;
+  for (const Loan& l : ledger_) {
+    if (l.count != 0) out.push_back(static_cast<std::uint32_t>(l.key >> 32));
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 std::span<std::byte> Pool::write_view(const RichPtr& p) {
@@ -169,7 +238,8 @@ void Pool::reset() {
   owner_.clear();
   free_lists_.clear();
   chunks_live_ = 0;
-  ledger_.clear();
+  std::fill(ledger_.begin(), ledger_.end(), Loan{});
+  ledger_used_ = 0;
   borrows_outstanding_ = 0;
   bump_ = 0;
   bytes_live_ = 0;

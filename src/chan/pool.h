@@ -38,7 +38,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/chan/rich_ptr.h"
@@ -94,20 +93,17 @@ class Pool {
   // release — when no loan is on record: a double return, a stale pointer
   // after reset(), or a foreign pointer.
   bool note_return(const RichPtr& p, std::uint32_t borrower);
-  // Crash cleanup: releases every reference `borrower` still has on loan.
-  // Returns how many chunk references were reclaimed.
+  // Crash cleanup: releases every reference `borrower` still has on loan,
+  // in ascending chunk offset.  Returns how many chunk references were
+  // reclaimed.
   std::size_t reclaim(std::uint32_t borrower);
   // Outstanding loans (all borrowers) — the Testbed teardown leak check.
   std::size_t borrows_outstanding() const { return borrows_outstanding_; }
   // Every borrower with loans on record.  The teardown sweep uses this to
   // find well-known borrower-id classes (connection-checkpoint loans) that
   // are legitimately outstanding when a run stops mid-flight.
-  std::vector<std::uint32_t> borrowers() const {
-    std::vector<std::uint32_t> out;
-    out.reserve(ledger_.size());
-    for (const auto& [b, loans] : ledger_) out.push_back(b);
-    return out;
-  }
+  // Ascending.
+  std::vector<std::uint32_t> borrowers() const;
 
   // Crash support: drops every chunk and bumps the generation, so all
   // outstanding rich pointers into this pool become stale.
@@ -150,10 +146,21 @@ class Pool {
   std::vector<std::vector<std::uint32_t>> free_lists_;
   std::size_t chunks_live_ = 0;
 
-  // borrower -> (chunk base offset -> loans outstanding)
-  std::unordered_map<std::uint32_t,
-                     std::unordered_map<std::uint32_t, std::uint32_t>>
-      ledger_;
+  // The loan ledger: (borrower, chunk base) -> loans outstanding, in one
+  // open-addressing table (linear probing, backward-shift erase, at most
+  // half full).  Once grown, borrow and return allocate nothing.
+  struct Loan {
+    std::uint64_t key = 0;    // (borrower << 32) | chunk base offset
+    std::uint32_t count = 0;  // 0: empty bucket
+  };
+  std::size_t loan_bucket(std::uint64_t key) const;
+  // The bucket holding `key`, or the empty bucket where it would go.
+  std::size_t find_loan(std::uint64_t key) const;
+  void erase_loan(std::size_t bucket);
+  void grow_ledger();
+
+  std::vector<Loan> ledger_;  // power-of-two size, or empty
+  std::size_t ledger_used_ = 0;
   std::size_t borrows_outstanding_ = 0;
 
   std::size_t bytes_live_ = 0;

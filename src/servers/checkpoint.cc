@@ -345,7 +345,9 @@ std::optional<CkptStoreRec> CheckpointWriter::parse_record(
     std::span<const std::byte> bytes) {
   if (bytes.size() < kCkptRecV1Bytes) return std::nullopt;
   CkptStoreRec rec;
-  std::memcpy(&rec, bytes.data(), kCkptRecV1Bytes);
+  // Through void*: CkptStoreRec has default member initializers, so it is
+  // trivially copyable but not trivially constructible.
+  std::memcpy(static_cast<void*>(&rec), bytes.data(), kCkptRecV1Bytes);
   // A bare v1 core restores with rec.cc absent (algo 0): the engine falls
   // back to a fresh congestion module.
   if (bytes.size() >= kCkptRecV1Bytes + 4 + sizeof rec.cc) {

@@ -103,7 +103,8 @@ chan::Queue* Server::expose_in_queue(const std::string& from,
   const std::string qname = from + ">" + name_;
   chan::Queue* q = env_->get_queue(qname, capacity);
   q->reset();
-  q->doorbell().arm([this] { wake(); });
+  q->doorbell().bind([this] { wake(); });
+  q->doorbell().arm();
   in_queues_.push_back(InQueue{from, q});
   // Export to the producer and publish the credential; the producer's
   // subscription to "chan.<qname>" fires and it attaches (Section IV-C).
@@ -313,7 +314,7 @@ void Server::answer_probe(const chan::Message& m, sim::Context& ctx) {
 
 void Server::enter_idle(sim::Context& ctx) {
   pump_scheduled_ = false;
-  for (auto& in : in_queues_) in.queue->doorbell().arm([this] { wake(); });
+  for (auto& in : in_queues_) in.queue->doorbell().arm();
   // Entering kernel-assisted MWAIT costs a trap.
   charge(ctx, env_->kernel->mwait_enter());
   sleeping_ = true;

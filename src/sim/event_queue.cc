@@ -10,29 +10,27 @@ EventId EventQueue::push(Time t, EventFn fn) {
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
+    fns_.emplace_back();
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  Slot& s = slots_[slot];
-  s.fn = std::move(fn);
-  s.live = true;
-  ++live_;
-  heap_.push_back(Entry{t, next_seq_++, slot});
+  fns_[slot] = std::move(fn);
+  heap_.push_back(Entry{EventKey{t, take_seq()}, slot});
   sift_up(heap_.size() - 1);
-  return (static_cast<EventId>(s.gen) << 32) | slot;
+  return (static_cast<EventId>(slots_[slot].gen) << 32) | slot;
 }
 
 bool EventQueue::cancel(EventId id) {
   const auto slot = static_cast<std::uint32_t>(id);
   if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
-  if (!s.live || s.gen != static_cast<std::uint32_t>(id >> 32)) return false;
-  s.live = false;
-  --live_;
-  // Destroyed on return, after the slot is consistent: the closure's
+  const Slot& s = slots_[slot];
+  if (s.pos == kFree || s.gen != static_cast<std::uint32_t>(id >> 32))
+    return false;
+  // Destroyed on return, after the heap is consistent: the closure's
   // destructor may push or cancel events itself.
-  EventFn dead = std::exchange(s.fn, nullptr);
+  EventFn dead = std::exchange(fns_[slot], nullptr);
+  remove_at(s.pos);
   return true;
 }
 
@@ -40,11 +38,11 @@ void EventQueue::sift_up(std::size_t i) {
   const Entry e = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (!before(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    if (!(e.key < heap_[parent].key)) break;
+    place(i, heap_[parent]);
     i = parent;
   }
-  heap_[i] = e;
+  place(i, e);
 }
 
 void EventQueue::sift_down(std::size_t i) {
@@ -56,45 +54,39 @@ void EventQueue::sift_down(std::size_t i) {
     const std::size_t last = std::min(first + 4, n);
     std::size_t best = first;
     for (std::size_t c = first + 1; c < last; ++c) {
-      if (before(heap_[c], heap_[best])) best = c;
+      if (heap_[c].key < heap_[best].key) best = c;
     }
-    if (!before(heap_[best], e)) break;
-    heap_[i] = heap_[best];
+    if (!(heap_[best].key < e.key)) break;
+    place(i, heap_[best]);
     i = best;
   }
-  heap_[i] = e;
+  place(i, e);
 }
 
-void EventQueue::pop_root() {
-  const std::uint32_t slot = heap_.front().slot;
+void EventQueue::remove_at(std::size_t i) {
+  const std::uint32_t slot = heap_[i].slot;
   Slot& s = slots_[slot];
   if (++s.gen == 0) s.gen = 1;  // keep ids non-zero across wrap-around
+  s.pos = kFree;
   free_slots_.push_back(slot);
-  heap_.front() = heap_.back();
+  const Entry last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
-}
-
-void EventQueue::drop_cancelled() {
-  while (!heap_.empty() && !slots_[heap_.front().slot].live) pop_root();
+  if (i == heap_.size()) return;
+  place(i, last);
+  if (i > 0 && last.key < heap_[(i - 1) / 4].key) {
+    sift_up(i);
+  } else {
+    sift_down(i);
+  }
 }
 
 bool EventQueue::pop_and_run() {
-  drop_cancelled();
   if (heap_.empty()) return false;
   // Move the handler out before popping so the event may schedule more work.
-  Slot& s = slots_[heap_.front().slot];
-  EventFn fn = std::move(s.fn);
-  s.live = false;
-  --live_;
-  pop_root();
+  EventFn fn = std::exchange(fns_[heap_.front().slot], nullptr);
+  remove_at(0);
   fn();
   return true;
-}
-
-Time EventQueue::next_time() {
-  drop_cancelled();
-  return heap_.front().t;
 }
 
 }  // namespace newtos::sim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <utility>
 
 namespace newtos::sim {
@@ -28,8 +29,8 @@ void SimCore::schedule_next() {
   const Time start = std::max({next.earliest, sim_.now(), free_at_});
   current_ = std::move(next.task);
   tasks_.pop_front();
-  // Captures fit std::function's inline buffer: no closure is allocated.
-  sim_.at(start, [this, start] { run_current(start); });
+  starting_ = true;
+  sim_.lane_push(*this, start);
 }
 
 void SimCore::run_current(Time start) {
@@ -40,7 +41,16 @@ void SimCore::run_current(Time start) {
   ++tasks_run_;
   free_at_ = start + sim_.costs().cycles_to_time(ctx.charged());
   if (free_at_ > sim_.now()) {
-    sim_.at(free_at_, [this] { schedule_next(); });
+    starting_ = false;
+    sim_.lane_push(*this, free_at_);
+  } else {
+    schedule_next();
+  }
+}
+
+void SimCore::on_lane(Time t) {
+  if (starting_) {
+    run_current(t);
   } else {
     schedule_next();
   }
@@ -68,22 +78,62 @@ SimCore& Simulator::add_core(std::string name) {
   return *cores_.back();
 }
 
-void Simulator::fire(Time t) {
-  now_ = std::max(now_, t);
-  events_.pop_and_run();
+void Simulator::lane_push(SimCore& core, Time t) {
+  assert(t >= now_ && "cannot schedule into the past");
+  const LaneEntry e{EventKey{std::max(t, now_), events_.take_seq()}, &core};
+  std::size_t i = lane_.size();
+  lane_.push_back(e);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!(e.key < lane_[parent].key)) break;
+    lane_[i] = lane_[parent];
+    i = parent;
+  }
+  lane_[i] = e;
 }
 
-bool Simulator::step() {
+void Simulator::fire_lane() {
+  const LaneEntry top = lane_.front();
+  const LaneEntry last = lane_.back();
+  lane_.pop_back();
+  const std::size_t n = lane_.size();
+  if (n > 0) {
+    std::size_t i = 0;
+    for (;;) {
+      std::size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && lane_[child + 1].key < lane_[child].key) ++child;
+      if (!(lane_[child].key < last.key)) break;
+      lane_[i] = lane_[child];
+      i = child;
+    }
+    lane_[i] = last;
+  }
+  now_ = std::max(now_, top.key.t);
+  top.core->on_lane(top.key.t);
+}
+
+bool Simulator::fire_next(Time limit) {
+  if (!lane_.empty() &&
+      (events_.empty() || lane_.front().key < events_.next_key())) {
+    if (lane_.front().key.t > limit) return false;
+    fire_lane();
+    return true;
+  }
   if (events_.empty()) return false;
-  fire(events_.next_time());
+  const Time next = events_.next_time();
+  if (next > limit) return false;
+  now_ = std::max(now_, next);
+  events_.pop_and_run();
   return true;
 }
 
+bool Simulator::step() {
+  return fire_next(std::numeric_limits<Time>::max());
+}
+
 void Simulator::run_until(Time t) {
-  while (!events_.empty()) {
-    const Time next = events_.next_time();
-    if (next > t) break;
-    fire(next);
+  while (fire_next(t)) {
   }
   now_ = std::max(now_, t);
 }

@@ -5,8 +5,17 @@
 // cycles go*: each server is bound to a SimCore and every handler charges
 // cycles to a Context.  A core runs one handler at a time; queued handlers
 // wait until the core is free, exactly like run-to-completion event loops on
-// dedicated cores in the paper.  Time is global and advances through the
-// event queue only, so runs are deterministic.
+// dedicated cores in the paper.  Time is global and advances only by firing
+// events, so runs are deterministic.
+//
+// Core lane.  A core has at most one pending bookkeeping event: "start the
+// parked task at t" or "the core is free at t".  Those events skip the
+// callback heap.  The Simulator keeps one {(t, seq), core} entry per waiting
+// core in a small min-heap (the lane) and draws seq from the event queue's
+// own counter at the moment the event is due to be scheduled, so lane and
+// heap events interleave in the one (t, seq) order.  step() fires whichever
+// comes first, and one step still fires one event and runs at most one
+// core task.
 #pragma once
 
 #include <cstdint>
@@ -75,8 +84,12 @@ class SimCore {
   double utilization(Time window) const;
 
  private:
+  friend class Simulator;
+
   void schedule_next();
   void run_current(Time start);
+  // The core's lane event at `t`: starts the parked task or frees the core.
+  void on_lane(Time t);
 
   Simulator& sim_;
   std::string name_;
@@ -86,9 +99,10 @@ class SimCore {
     CoreTask task;
   };
   std::deque<Pending> tasks_;
-  // The task whose start event is scheduled; parked here so that event's
-  // closure captures only (this, start).
+  // The task whose start event is on the lane.
   CoreTask current_;
+  // Which lane event is pending: start current_, or free the core.
+  bool starting_ = false;
   bool running_ = false;
   Time free_at_ = 0;
   Cycles busy_cycles_ = 0;
@@ -119,18 +133,32 @@ class Simulator {
 
   // Runs events until virtual time `t` (inclusive) or until idle.
   void run_until(Time t);
-  // Runs until the event queue drains.
+  // Runs until no event is pending.
   void run_to_completion();
   // Fires a single event.  Returns false when nothing is pending.
   bool step();
 
  private:
-  // Advances now() to `t`, the earliest live event's time, and fires it.
-  void fire(Time t);
+  friend class SimCore;
+
+  struct LaneEntry {
+    EventKey key;
+    SimCore* core;
+  };
+
+  // Queues `core`'s one lane event at `t`, keyed as at(t, ...) would be.
+  void lane_push(SimCore& core, Time t);
+  // Pops the lane's earliest event, advances now() to it and fires it.
+  void fire_lane();
+  // Fires the earliest pending event, lane or heap, if it is due no later
+  // than `limit`.  Returns false when none is.
+  bool fire_next(Time limit);
 
   Time now_ = 0;
   CostModel costs_;
   EventQueue events_;
+  // Binary min-heap by key; at most one entry per core.
+  std::vector<LaneEntry> lane_;
   std::vector<std::unique_ptr<SimCore>> cores_;
 };
 

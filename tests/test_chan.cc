@@ -6,7 +6,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/chan/channel.h"
@@ -294,8 +293,8 @@ namespace {
 
 // The pool's rules written over ordered maps: chunk headers by offset
 // (sub-ranges resolve through upper_bound), free lists by rounded size.
-// reclaim() releases in the ledger's iteration order, which fixes later
-// free-list order, so the per-borrower ledger has the pool's own type.
+// reclaim() releases in ascending chunk offset, which fixes later
+// free-list order; the ordered per-borrower ledger walks in that order.
 class RefPool {
  public:
   RefPool(std::uint32_t id, std::uint32_t size) : id_(id), size_(size) {}
@@ -406,8 +405,7 @@ class RefPool {
   std::uint32_t bump_ = 0;
   std::map<std::uint32_t, Chunk> chunks_;
   std::map<std::uint32_t, std::vector<std::uint32_t>> free_;
-  std::map<std::uint32_t, std::unordered_map<std::uint32_t, std::uint32_t>>
-      ledger_;
+  std::map<std::uint32_t, std::map<std::uint32_t, std::uint32_t>> ledger_;
 };
 
 }  // namespace
@@ -493,12 +491,13 @@ TEST(Pool, MatchesAnOrderedMapReference) {
 TEST(Queue, DoorbellFiresOnceOnSend) {
   Queue q("t", 16);
   int rings = 0;
-  q.doorbell().arm([&] { ++rings; });
+  q.doorbell().bind([&] { ++rings; });
+  q.doorbell().arm();
   Message m;
   q.try_send(m);
   q.try_send(m);  // bell consumed by first send
   EXPECT_EQ(rings, 1);
-  q.doorbell().arm([&] { ++rings; });
+  q.doorbell().arm();
   q.try_send(m);
   EXPECT_EQ(rings, 2);
 }
