@@ -46,12 +46,11 @@ struct NodeConfig {
   double cost_scale = 1.0;
   net::TcpOptions tcp;
   std::uint32_t app_write_size = 8192;
-  // Sharded transport plane: N replicated TCP/UDP servers, inbound frames
+  // Sharded transport plane: N replicated TCP servers, inbound frames
   // steered by 4-tuple hash (split arrangements only; combined stacks
-  // always run one engine pair).  The default of 1 keeps every Table II
-  // row exactly what it always was.
+  // always run one engine pair).  UDP always runs one server.  The default
+  // of 1 keeps every Table II row exactly what it always was.
   int tcp_shards = 1;
-  int udp_shards = 1;
   // Receive-side batching, the RX mirror of TSO.  Default off: every
   // Table II row keeps the classic one-interrupt-one-message-per-frame
   // path, byte for byte.  With rx_coalesce_frames > 1 the NICs coalesce RX
@@ -78,10 +77,9 @@ struct NodeConfig {
   // Table I trade-off stands and every Table II row is byte-identical.
   // With it on, established connections journal per-connection TCB
   // checkpoints (pool-resident pages + a compact storage-server record per
-  // connection, refreshed every tcp_ckpt_watermark bytes) and survive a
-  // TCP server crash with only a throughput dip.
+  // connection, refreshed every servers::kCkptWatermark bytes) and survive
+  // a TCP server crash with only a throughput dip.
   bool tcp_checkpoint = false;
-  std::uint32_t tcp_ckpt_watermark = 256 * 1024;
   // Congestion-control algorithm for TCP connections on this node
   // ("newreno" | "cubic" | "bbr").  The default reproduces the classic
   // NewReno behaviour byte for byte; per-port overrides (matched against

@@ -62,7 +62,7 @@ class FaultInjector {
   // of the Table IV rates that exercises every rung of the escalation
   // ladder: silent wedges and slowdowns are injected into any component
   // class that can manifest them detectably (slowdown needs a backlog to
-  // queue behind, so it goes to tcp/ip/pf — a lightly loaded UDP shard
+  // queue behind, so it goes to tcp/ip/pf — a lightly loaded UDP server
   // answers a probe in microseconds even at 1/8 speed).  The plan is then
   // patched so all six manifestation classes appear at least once.
   struct PlannedFault {

@@ -189,7 +189,6 @@ void Node::build() {
   const bool inline_drivers = cfg_.mode == StackMode::kIdealMonolithic;
 
   const int tcp_shards = clamp_shards(cfg_.tcp_shards, !cfg_.combined_stack());
-  const int udp_shards = clamp_shards(cfg_.udp_shards, !cfg_.combined_stack());
 
   // Storage clients depend on the arrangement.
   std::vector<std::string> store_clients;
@@ -198,8 +197,7 @@ void Node::build() {
   } else {
     for (int s = 0; s < tcp_shards; ++s)
       store_clients.push_back(servers::tcp_shard_name(s));
-    for (int s = 0; s < udp_shards; ++s)
-      store_clients.push_back(servers::udp_shard_name(s));
+    store_clients.push_back(servers::kUdpName);
     store_clients.push_back(servers::kIpName);
     if (cfg_.use_pf) store_clients.push_back(servers::kPfName);
   }
@@ -218,7 +216,7 @@ void Node::build() {
                                       : servers::kIpName;
       auto drv = std::make_unique<servers::DriverServer>(
           &env_, fresh_core(name), nics_[i].get(), i, ip_peer);
-      if (rss_fast) drv->enable_fast_path(tcp_shards, udp_shards);
+      if (rss_fast) drv->enable_fast_path(tcp_shards);
       servers_.emplace(name, std::move(drv));
       boot_order_.push_back(name);
     }
@@ -249,8 +247,7 @@ void Node::build() {
       std::vector<std::string> transports;
       for (int s = 0; s < tcp_shards; ++s)
         transports.push_back(servers::tcp_shard_name(s));
-      for (int s = 0; s < udp_shards; ++s)
-        transports.push_back(servers::udp_shard_name(s));
+      transports.push_back(servers::kUdpName);
       auto pf = std::make_unique<servers::PfServer>(
           &env_, fresh_core("pf"), make_rules(), std::move(transports));
       pf_ = pf.get();
@@ -263,7 +260,6 @@ void Node::build() {
     ic.use_pf = cfg_.use_pf;
     ic.csum_offload = cfg_.csum_offload;
     ic.tcp_shards = tcp_shards;
-    ic.udp_shards = udp_shards;
     ic.gro = cfg_.gro;
     ic.rx_queues = rx_queues;
     auto ip = std::make_unique<servers::IpServer>(&env_, fresh_core("ip"),
@@ -280,7 +276,6 @@ void Node::build() {
     // Transparent TCP recovery is a split-stack feature: a combined stack
     // dies as one unit and takes its own storage/pool context with it.
     topts.checkpoint = cfg_.tcp_checkpoint;
-    topts.ckpt_watermark = cfg_.tcp_ckpt_watermark;
     // The per-shard receive context the drivers post to directly when the
     // NICs run multiple RSS queues.
     net::IpFastPath::Config fpc;
@@ -302,32 +297,27 @@ void Node::build() {
       boot_order_.push_back(name);
     }
 
-    for (int s = 0; s < udp_shards; ++s) {
-      const std::string name = servers::udp_shard_name(s);
-      auto udp = std::make_unique<servers::UdpServer>(
-          &env_, fresh_core(name), src_for, s, udp_shards);
-      if (!driver_names.empty()) udp->enable_rx_fastpath(fpc, driver_names);
-      udp_shards_.push_back(udp.get());
-      servers_.emplace(name, std::move(udp));
-      boot_order_.push_back(name);
-    }
+    auto udp = std::make_unique<servers::UdpServer>(
+        &env_, fresh_core(servers::kUdpName), src_for);
+    if (!driver_names.empty()) udp->enable_rx_fastpath(fpc, driver_names);
+    udp_ = udp.get();
+    servers_.emplace(servers::kUdpName, std::move(udp));
+    boot_order_.push_back(servers::kUdpName);
   }
 
   if (cfg_.has_syscall_server()) {
     std::vector<std::string> tcp_targets;
-    std::vector<std::string> udp_targets;
+    std::string udp_target = servers::kUdpName;
     if (cfg_.combined_stack()) {
       tcp_targets = {servers::kStackName};
-      udp_targets = {servers::kStackName};
+      udp_target = servers::kStackName;
     } else {
       for (int s = 0; s < tcp_shards; ++s)
         tcp_targets.push_back(servers::tcp_shard_name(s));
-      for (int s = 0; s < udp_shards; ++s)
-        udp_targets.push_back(servers::udp_shard_name(s));
     }
     auto sys = std::make_unique<servers::SyscallServer>(
         &env_, fresh_core("syscall"), std::move(tcp_targets),
-        std::move(udp_targets));
+        std::move(udp_target));
     syscall_ = sys.get();
     servers_.emplace(servers::kSyscallName, std::move(sys));
     boot_order_.push_back(servers::kSyscallName);
@@ -343,8 +333,7 @@ void Node::build() {
     std::vector<std::string> targets;
     for (int s = 0; s < tcp_shards; ++s)
       targets.push_back(servers::tcp_shard_name(s));
-    for (int s = 0; s < udp_shards; ++s)
-      targets.push_back(servers::udp_shard_name(s));
+    targets.push_back(servers::kUdpName);
     targets.push_back(servers::kIpName);
     if (cfg_.use_pf) targets.push_back(servers::kPfName);
     if (!inline_drivers) {
@@ -438,12 +427,11 @@ std::uint64_t Node::publish_channel_stats() {
       stats_.set(tcp->name() + ".rx_fallback_frames",
                  tcp->fastpath()->stats().fallback_frames);
     }
-    for (const auto* udp : udp_shards_) {
-      if (udp->fastpath() == nullptr) continue;
-      stats_.set(udp->name() + ".rx_fast_frames",
-                 udp->fastpath()->stats().fast_frames);
-      stats_.set(udp->name() + ".rx_fallback_frames",
-                 udp->fastpath()->stats().fallback_frames);
+    if (udp_ != nullptr && udp_->fastpath() != nullptr) {
+      stats_.set(udp_->name() + ".rx_fast_frames",
+                 udp_->fastpath()->stats().fast_frames);
+      stats_.set(udp_->name() + ".rx_fallback_frames",
+                 udp_->fastpath()->stats().fallback_frames);
     }
   }
   // Connection-checkpoint overhead (0 with tcp_checkpoint off): journal
@@ -535,23 +523,15 @@ net::TcpEngine* Node::tcp_engine(int shard) const {
   return tcp_shards_[shard]->engine();
 }
 
-net::UdpEngine* Node::udp_engine(int shard) const {
-  if (stack_ != nullptr) return shard == 0 ? stack_->udp_engine() : nullptr;
-  if (shard < 0 || shard >= static_cast<int>(udp_shards_.size()))
-    return nullptr;
-  return udp_shards_[shard]->engine();
+net::UdpEngine* Node::udp_engine() const {
+  if (stack_ != nullptr) return stack_->udp_engine();
+  return udp_ != nullptr ? udp_->engine() : nullptr;
 }
 
 int Node::tcp_shard_count() const {
   return stack_ != nullptr ? 1
                            : std::max<int>(1, static_cast<int>(
                                                   tcp_shards_.size()));
-}
-
-int Node::udp_shard_count() const {
-  return stack_ != nullptr ? 1
-                           : std::max<int>(1, static_cast<int>(
-                                                  udp_shards_.size()));
 }
 
 servers::Server* Node::transport_server(char proto, int shard) const {
@@ -561,9 +541,7 @@ servers::Server* Node::transport_server(char proto, int shard) const {
       return nullptr;
     return tcp_shards_[shard];
   }
-  if (shard < 0 || shard >= static_cast<int>(udp_shards_.size()))
-    return nullptr;
-  return udp_shards_[shard];
+  return shard == 0 ? udp_ : nullptr;
 }
 
 net::IpEngine* Node::ip_engine() const {
@@ -578,8 +556,7 @@ std::vector<std::string> Node::injectable() const {
   } else {
     for (std::size_t s = 0; s < tcp_shards_.size(); ++s)
       out.push_back(servers::tcp_shard_name(static_cast<int>(s)));
-    for (std::size_t s = 0; s < udp_shards_.size(); ++s)
-      out.push_back(servers::udp_shard_name(static_cast<int>(s)));
+    out.push_back(servers::kUdpName);
     out.push_back(servers::kIpName);
     if (cfg_.use_pf) out.push_back(servers::kPfName);
   }

@@ -73,23 +73,22 @@ class Node {
   servers::ReincarnationServer* reincarnation() { return rs_; }
   servers::SyscallServer* syscall() { return syscall_; }
   servers::StorageServer* storage() { return store_; }
-  // Shard 0's engines (the only ones in every single-shard arrangement).
+  // Shard 0's TCP engine (the only one in every single-shard arrangement).
   net::TcpEngine* tcp_engine() const { return tcp_engine(0); }
-  net::UdpEngine* udp_engine() const { return udp_engine(0); }
-  // Sharded transport plane: per-replica engines and counts.  Connections
+  // The node's one UDP engine.
+  net::UdpEngine* udp_engine() const;
+  // Sharded TCP plane: per-replica engines and the count.  Connections
   // live on the replica their socket id encodes (net::sock_shard).
   net::TcpEngine* tcp_engine(int shard) const;
-  net::UdpEngine* udp_engine(int shard) const;
   int tcp_shard_count() const;
-  int udp_shard_count() const;
   // The server hosting the given transport replica (for fast-path context
-  // borrowing).
+  // borrowing); UDP has only shard 0.
   servers::Server* transport_server(char proto, int shard = 0) const;
   net::IpEngine* ip_engine() const;
   servers::StackServer* stack_server() { return stack_; }
-  // Round-robin shard assignment for new sockets on the direct (no-SYSCALL)
-  // control path; the SYSCALL server keeps its own cursors.
-  servers::ShardCursors& direct_open_cursors() { return direct_open_rr_; }
+  // Round-robin TCP shard cursor for new sockets on the direct (no-SYSCALL)
+  // control path; the SYSCALL server keeps its own.
+  int& direct_open_cursor() { return direct_open_rr_; }
 
   // Components eligible for fault injection (Table III).
   std::vector<std::string> injectable() const;
@@ -137,11 +136,11 @@ class Node {
   servers::StorageServer* store_ = nullptr;
   servers::SyscallServer* syscall_ = nullptr;
   std::vector<servers::TcpServer*> tcp_shards_;  // one replica per shard
-  std::vector<servers::UdpServer*> udp_shards_;
+  servers::UdpServer* udp_ = nullptr;
   servers::IpServer* ip_ = nullptr;
   servers::PfServer* pf_ = nullptr;
   servers::StackServer* stack_ = nullptr;
-  servers::ShardCursors direct_open_rr_;
+  int direct_open_rr_ = 0;
 
   std::map<std::pair<char, std::uint32_t>, std::pair<AppActor*, SockEventFn>>
       sock_handlers_;

@@ -596,7 +596,7 @@ void UdpSocket::sendto(std::uint32_t len, net::Ipv4Addr dst,
   op.opcode = servers::kSockSendTo;
   op.proto = 'U';
   op.sock = st_->id;
-  if (node().udp_engine(net::sock_shard(st_->id)) == nullptr) {
+  if (node().udp_engine() == nullptr) {
     ring().fail_local(op, status_cb(std::move(cb)), kSockEDown);
     return;
   }
@@ -614,9 +614,8 @@ SendReservation UdpSocket::reserve(std::uint32_t len) {
   SendReservation res;
   res.node_ = &node();
   res.borrower_ = app().borrower_id();
-  // Staged in the home replica's pool, where the sendto will execute.
-  net::UdpEngine* eng = node().udp_engine(net::sock_shard(st_->id));
-  if (eng == nullptr) eng = node().udp_engine(0);
+  // Staged in the UDP server's pool, where the sendto will execute.
+  net::UdpEngine* eng = node().udp_engine();
   if (eng == nullptr || len == 0) return res;
   chan::RichPtr p = eng->alloc_payload(len);
   if (!p.valid()) {
@@ -663,46 +662,37 @@ void UdpSocket::submit(SendReservation res, net::Ipv4Addr dst,
 
 std::optional<BorrowedDatagram> UdpSocket::recvfrom_zc() {
   if (st_->id == 0) return std::nullopt;
-  // The socket's record is replicated to every replica and inbound
-  // datagrams hash to any of them: drain whichever shard queued one.
-  for (int shard = 0; shard < node().udp_shard_count(); ++shard) {
-    net::UdpEngine* eng = node().udp_engine(shard);
-    servers::Server* srv = node().transport_server('U', shard);
-    if (eng == nullptr || srv == nullptr) continue;
-    servers::Server::BorrowContext borrow(*srv, app().cur());
-    auto b = eng->recv_zc(st_->id);
-    if (!b) continue;
-    if (chan::Pool* pool = node().pools().find(b->frame.pool)) {
-      pool->note_borrow(b->frame, app().borrower_id());
-    }
-    app().cur().charge(node().sim().costs().cache_line_pull);
-    BorrowedDatagram d;
-    d.node_ = &node();
-    d.borrower_ = app().borrower_id();
-    d.frame_ = b->frame;
-    d.data_ = b->data;
-    d.src_ = b->src;
-    d.sport_ = b->sport;
-    return d;
+  net::UdpEngine* eng = node().udp_engine();
+  servers::Server* srv = node().transport_server('U');
+  if (eng == nullptr || srv == nullptr) return std::nullopt;
+  servers::Server::BorrowContext borrow(*srv, app().cur());
+  auto b = eng->recv_zc(st_->id);
+  if (!b) return std::nullopt;
+  if (chan::Pool* pool = node().pools().find(b->frame.pool)) {
+    pool->note_borrow(b->frame, app().borrower_id());
   }
-  return std::nullopt;
+  app().cur().charge(node().sim().costs().cache_line_pull);
+  BorrowedDatagram d;
+  d.node_ = &node();
+  d.borrower_ = app().borrower_id();
+  d.frame_ = b->frame;
+  d.data_ = b->data;
+  d.src_ = b->src;
+  d.sport_ = b->sport;
+  return d;
 }
 
 std::optional<net::UdpEngine::Datagram> UdpSocket::recvfrom() {
-  // Inbound datagrams hash to any replica; drain whichever queued one.
-  for (int shard = 0; shard < node().udp_shard_count(); ++shard) {
-    net::UdpEngine* eng = node().udp_engine(shard);
-    servers::Server* srv = node().transport_server('U', shard);
-    if (eng == nullptr || srv == nullptr) continue;
-    servers::Server::BorrowContext borrow(*srv, app().cur());
-    auto d = eng->recv(st_->id);
-    if (!d) continue;
-    app().cur().charge(node().sim().costs().copy_cost(
-        static_cast<std::int64_t>(d->data.size())));
-    node().stats().add("sock.bytes_copied", d->data.size());
-    return d;
-  }
-  return std::nullopt;
+  net::UdpEngine* eng = node().udp_engine();
+  servers::Server* srv = node().transport_server('U');
+  if (eng == nullptr || srv == nullptr) return std::nullopt;
+  servers::Server::BorrowContext borrow(*srv, app().cur());
+  auto d = eng->recv(st_->id);
+  if (!d) return std::nullopt;
+  app().cur().charge(node().sim().costs().copy_cost(
+      static_cast<std::int64_t>(d->data.size())));
+  node().stats().add("sock.bytes_copied", d->data.size());
+  return d;
 }
 
 }  // namespace newtos

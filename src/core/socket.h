@@ -320,8 +320,8 @@ class UdpSocket : public Socket {
   // the caller releases it (RAII) when done.
   std::optional<BorrowedDatagram> recvfrom_zc();
 
-  // LEGACY copy path: dequeues the next datagram from whichever replica
-  // queued one, paying the copy; counted in "sock.bytes_copied".
+  // LEGACY copy path: dequeues the next datagram, paying the copy; counted
+  // in "sock.bytes_copied".
   std::optional<net::UdpEngine::Datagram> recvfrom();
 };
 

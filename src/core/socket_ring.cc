@@ -143,34 +143,30 @@ void SocketRing::route_direct(std::vector<SockSqe> batch) {
   // Table II line 2: no SYSCALL server — the app traps straight into the
   // transports, polluting their caches.  The batch still amortizes the
   // cold trap, but each reply keeps its synchronous toll (trap + IPI +
-  // context restore on the blocked app).  With a sharded plane the app
-  // traps once per replica it targets; opens spread round-robin and every
-  // later op follows the shard its socket id encodes.
+  // context restore on the blocked app).  With a sharded TCP plane the app
+  // traps once per server it targets; TCP opens spread round-robin and
+  // every later op follows the shard its socket id encodes.
   std::vector<servers::WireSockOp> wire_all;
   wire_all.reserve(batch.size());
   for (const auto& sqe : batch) wire_all.push_back(to_wire(sqe));
   std::vector<int> shard_of(batch.size(), 0);
   servers::route_sock_shards(
-      wire_all, node_.tcp_shard_count(), node_.udp_shard_count(),
-      node_.direct_open_cursors(),
+      wire_all, node_.tcp_shard_count(), node_.direct_open_cursor(),
       [&](std::size_t i, int shard) { shard_of[i] = shard; },
-      [&](char proto, int shard) {
-        servers::Server* s =
-            node_.server(servers::transport_shard_name(proto, shard));
+      [&](int shard) {
+        servers::Server* s = node_.transport_server('T', shard);
         return s != nullptr && s->alive();
       });
 
   for (const char proto : {'T', 'U'}) {
-    const int shards = proto == 'T' ? node_.tcp_shard_count()
-                                    : node_.udp_shard_count();
+    const int shards = proto == 'T' ? node_.tcp_shard_count() : 1;
     for (int shard = 0; shard < shards; ++shard) {
       std::vector<std::size_t> idxs;
       for (std::size_t i = 0; i < batch.size(); ++i) {
         if (batch[i].proto == proto && shard_of[i] == shard) idxs.push_back(i);
       }
       if (idxs.empty()) continue;
-      const std::string target = servers::transport_shard_name(proto, shard);
-      servers::Server* srv = node_.server(target);
+      servers::Server* srv = node_.transport_server(proto, shard);
       if (srv == nullptr || !srv->alive()) {
         for (std::size_t i : idxs) fail(batch[i], kSockEDown);
         continue;

@@ -59,13 +59,11 @@ Testbed::Testbed(const TestbedOptions& opts) {
   left.app_write_size = opts.app_write_size;
   left.cost_scale = opts.cost_scale;
   left.tcp_shards = opts.tcp_shards;
-  left.udp_shards = opts.udp_shards;
   left.rx_coalesce_frames = opts.rx_coalesce_frames;
   left.rx_coalesce_usecs = opts.rx_coalesce_usecs;
   left.gro = opts.gro;
   left.rx_queues = opts.rx_queues;
   left.tcp_checkpoint = opts.tcp_checkpoint;
-  left.tcp_ckpt_watermark = opts.tcp_ckpt_watermark;
   left.supervision = opts.supervision;
   left.tcp_cc = opts.tcp_cc;
   left.tcp_cc_by_port = opts.tcp_cc_by_port;
@@ -109,7 +107,6 @@ Testbed::Testbed(const TestbedOptions& opts) {
     wc.queue_frames = opts.wire_queue_frames;
     wc.reorder = opts.wire_reorder;
     wc.reorder_delay = opts.wire_reorder_delay;
-    wc.loss_post_queue = opts.wire_loss_post_queue;
     wires_.push_back(std::make_unique<drv::Wire>(sim_, wc));
     left_->attach_wire(i, wires_.back().get(), 0);
     right_->attach_wire(i, wires_.back().get(), 1);

@@ -26,9 +26,8 @@ struct TestbedOptions {
   double loss = 0.0;
   std::uint32_t app_write_size = 8192;
   double cost_scale = 1.0;  // DUT cost scale (row 7 models a faster kernel)
-  // Sharded transport plane on the system under test (split modes only).
+  // Sharded TCP plane on the system under test (split modes only).
   int tcp_shards = 1;
-  int udp_shards = 1;
   // Receive-side batching on the system under test (default off: the
   // classic per-frame RX path, byte for byte).
   int rx_coalesce_frames = 0;
@@ -40,7 +39,6 @@ struct TestbedOptions {
   // Transparent TCP recovery on the system under test (default off: the
   // Table I trade-off — established connections die with the TCP server).
   bool tcp_checkpoint = false;
-  std::uint32_t tcp_ckpt_watermark = 256 * 1024;
   // Full supervision plane: probes to all component classes, slowdown SLO,
   // NIC wedge watchdog, restart budgets (NodeConfig::supervision).
   bool supervision = false;
@@ -65,7 +63,6 @@ struct TestbedOptions {
   std::uint32_t wire_queue_frames = 0;  // bottleneck FIFO bound; 0 = none
   double wire_reorder = 0.0;            // reordering probability
   sim::Time wire_reorder_delay = 50 * sim::kMicrosecond;
-  bool wire_loss_post_queue = false;    // loss only for queued frames
 };
 
 class Testbed {

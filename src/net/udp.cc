@@ -5,12 +5,7 @@
 
 namespace newtos::net {
 
-UdpEngine::UdpEngine(Env env) : env_(std::move(env)) {
-  next_sock_ = env_.sock_base + 1;
-  if (env_.shard_count > 1) {
-    next_port_ = static_cast<std::uint16_t>(20000 + env_.shard * 4096);
-  }
-}
+UdpEngine::UdpEngine(Env env) : env_(std::move(env)) {}
 
 UdpEngine::~UdpEngine() {
   for (auto& [id, sock] : socks_) {
@@ -32,21 +27,6 @@ const UdpEngine::Sock* UdpEngine::find(SockId s) const {
 }
 
 std::uint16_t UdpEngine::ephemeral_port() {
-  if (env_.shard_count > 1) {
-    // Disjoint 4096-port window per replica: socket state is replicated to
-    // every shard, so two shards must never hand out the same port.
-    const std::uint16_t base =
-        static_cast<std::uint16_t>(20000 + env_.shard * 4096);
-    for (std::uint16_t i = 0; i < 4096; ++i) {
-      const std::uint16_t p = static_cast<std::uint16_t>(
-          base + (next_port_ - base + i) % 4096);
-      if (bound_.count(p) == 0) {
-        next_port_ = static_cast<std::uint16_t>(base + (p - base + 1) % 4096);
-        return p;
-      }
-    }
-    return 0;
-  }
   while (bound_.count(next_port_) != 0) ++next_port_;
   return next_port_++;
 }
@@ -61,20 +41,13 @@ bool UdpEngine::bind(SockId s, Ipv4Addr local, std::uint16_t port) {
   Sock* sock = find(s);
   if (sock == nullptr) return false;
   if (port == 0) port = ephemeral_port();
-  if (port == 0) return false;  // per-shard ephemeral window exhausted
+  if (port == 0) return false;  // the ephemeral counter wrapped
   if (bound_.count(port) != 0) return false;
-  if (sock->lport != 0) erase_binding(sock->lport, s);
+  if (sock->lport != 0) bound_.erase(sock->lport);
   sock->local = local;
   sock->lport = port;
   bound_[port] = s;
   return true;
-}
-
-void UdpEngine::erase_binding(std::uint16_t port, SockId s) {
-  // Only unmap the port if this socket owns it: after a replicated port
-  // collision the map may name a different, still-live socket.
-  auto it = bound_.find(port);
-  if (it != bound_.end() && it->second == s) bound_.erase(it);
 }
 
 bool UdpEngine::connect(SockId s, Ipv4Addr peer, std::uint16_t port) {
@@ -90,7 +63,7 @@ void UdpEngine::close(SockId s) {
   Sock* sock = find(s);
   if (sock == nullptr) return;
   for (auto& item : sock->rxq) env_.rx_done(item.frame);
-  if (sock->lport != 0) erase_binding(sock->lport, s);
+  if (sock->lport != 0) bound_.erase(sock->lport);
   socks_.erase(s);
 }
 
@@ -246,22 +219,17 @@ std::vector<UdpEngine::SockRec> UdpEngine::snapshot() const {
 }
 
 void UdpEngine::restore(const std::vector<SockRec>& socks) {
-  for (const auto& rec : socks) upsert(rec);
-}
-
-void UdpEngine::upsert(const SockRec& rec) {
-  Sock& s = socks_[rec.id];  // creates with an empty rxq, or updates in place
-  if (s.lport != 0 && s.lport != rec.lport) erase_binding(s.lport, rec.id);
-  s.id = rec.id;
-  s.local = rec.local;
-  s.lport = rec.lport;
-  s.peer = rec.peer;
-  s.pport = rec.pport;
-  // First owner wins on a replicated port collision (see erase_binding).
-  if (rec.lport != 0) bound_.try_emplace(rec.lport, rec.id);
-  // A replicated record carries a sibling shard's id: it must not drag our
-  // allocation counter into the foreign range.
-  if (own_sock(rec.id)) next_sock_ = std::max(next_sock_, rec.id + 1);
+  for (const auto& rec : socks) {
+    Sock& s = socks_[rec.id];  // creates with an empty rxq, or updates it
+    if (s.lport != 0 && s.lport != rec.lport) bound_.erase(s.lport);
+    s.id = rec.id;
+    s.local = rec.local;
+    s.lport = rec.lport;
+    s.peer = rec.peer;
+    s.pport = rec.pport;
+    if (rec.lport != 0) bound_[rec.lport] = rec.id;
+    next_sock_ = std::max(next_sock_, rec.id + 1);
+  }
 }
 
 std::optional<UdpEngine::SockRec> UdpEngine::record(SockId s) const {

@@ -3,7 +3,8 @@
 // UDP's recoverable state is exactly Table I's description: "small state per
 // socket, low frequency of change" — the 4-tuple of every open socket.  The
 // snapshot/restore pair below is what the UDP server stores in the storage
-// server and reloads after a crash.
+// server and reloads after a crash.  One engine serves the whole node: the
+// UDP server is never sharded, so every socket and port lives here.
 #pragma once
 
 #include <cstdint>
@@ -33,16 +34,6 @@ class UdpEngine {
     std::function<void(SockId)> notify_readable;
     // Source-address selection for unbound sockets (host wires to IP config).
     std::function<Ipv4Addr(Ipv4Addr dst)> src_for;
-
-    // Sharded transport plane: replica index/count and the socket-id range
-    // this replica allocates from.  UDP socket state is replicated across
-    // all shards (a datagram from an arbitrary peer hashes to an arbitrary
-    // replica); each shard draws ephemeral ports from a disjoint window so
-    // two home sockets can never collide on a port.
-    int shard = 0;
-    int shard_count = 1;
-    SockId sock_base = 0;
-    SockId sock_span = 0;  // 0 = unbounded (single-shard arrangements)
   };
 
   struct Stats {
@@ -118,11 +109,10 @@ class UdpEngine {
     std::uint16_t pport = 0;
   };
   std::vector<SockRec> snapshot() const;
+  // Creates or updates the socket each record names, keeping any queued
+  // receive backlog.
   void restore(const std::vector<SockRec>& socks);
-  // Replica maintenance (sharded plane): creates or updates the socket
-  // named by `rec` without touching any queued receive backlog, and the
-  // current record of one socket for replication to sibling shards.
-  void upsert(const SockRec& rec);
+  // The current record of one socket.
   std::optional<SockRec> record(SockId s) const;
   static std::vector<std::byte> serialize_socks(const std::vector<SockRec>&);
   static std::optional<std::vector<SockRec>> parse_socks(
@@ -157,13 +147,6 @@ class UdpEngine {
   Sock* find(SockId s);
   const Sock* find(SockId s) const;
   std::uint16_t ephemeral_port();
-  // Unmaps `port` only if `s` owns it (replication collision safety).
-  void erase_binding(std::uint16_t port, SockId s);
-  // True when `s` lies in this replica's own id range.
-  bool own_sock(SockId s) const {
-    return env_.sock_span == 0 ||
-           (s > env_.sock_base && s - env_.sock_base < env_.sock_span);
-  }
 
   Env env_;
   Stats stats_;

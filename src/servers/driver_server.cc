@@ -17,10 +17,9 @@ DriverServer::DriverServer(NodeEnv* env, sim::SimCore* core, drv::SimNic* nic,
   rx_dropped_q_.resize(nic_->rx_queue_count(), 0);
 }
 
-void DriverServer::enable_fast_path(int tcp_shards, int udp_shards) {
+void DriverServer::enable_fast_path(int tcp_shards) {
   fast_path_ = true;
   tcp_shards_ = std::max(1, tcp_shards);
-  udp_shards_ = std::max(1, udp_shards);
 }
 
 std::string DriverServer::fast_target(const drv::SimNic::RxCompletion& c,
@@ -30,14 +29,13 @@ std::string DriverServer::fast_target(const drv::SimNic::RxCompletion& c,
   // NIC hash and steer_shard agree by construction, so with rx_queues ==
   // shards every steerable frame qualifies; with fewer queues the rest
   // keeps the classic path (and rx_queues = 1 means nothing ever does).
+  // UDP has one server, so only queue 0's UDP frames go fast.
   if (c.proto == net::kProtoTcp) {
     const int shard =
         static_cast<int>(c.rss_hash % static_cast<std::uint32_t>(tcp_shards_));
     return shard == queue ? tcp_shard_name(shard) : std::string{};
   }
-  const int shard =
-      static_cast<int>(c.rss_hash % static_cast<std::uint32_t>(udp_shards_));
-  return shard == queue ? udp_shard_name(shard) : std::string{};
+  return queue == 0 ? kUdpName : std::string{};
 }
 
 void DriverServer::send_rx_credit(std::size_t frames, sim::Context& ctx) {
@@ -107,7 +105,7 @@ void DriverServer::start(bool restart) {
   connect_out(ip_name_);
   if (fast_path_) {
     for (int s = 0; s < tcp_shards_; ++s) connect_out(tcp_shard_name(s));
-    for (int s = 0; s < udp_shards_; ++s) connect_out(udp_shard_name(s));
+    connect_out(kUdpName);
   }
   if (env().knobs.supervision) {
     expose_in_queue(kRsName, 64);

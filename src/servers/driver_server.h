@@ -31,10 +31,11 @@ class DriverServer : public Server {
   DriverServer(NodeEnv* env, sim::SimCore* core, drv::SimNic* nic,
                int ifindex, std::string ip_name = kIpName);
 
-  // Turns on the RSS fast path: a queue's frames whose 4-tuple hash homes
-  // on the shard with the queue's index bypass IP.  Must be called before
-  // boot; a driver without this keeps the classic single-target RX path.
-  void enable_fast_path(int tcp_shards, int udp_shards);
+  // Turns on the RSS fast path: a queue's TCP frames whose 4-tuple hash
+  // homes on the shard with the queue's index, and queue 0's UDP frames,
+  // bypass IP.  Must be called before boot; a driver without this keeps
+  // the classic single-target RX path.
+  void enable_fast_path(int tcp_shards);
 
   drv::SimNic& nic() { return *nic_; }
   int ifindex() const { return ifindex_; }
@@ -87,7 +88,6 @@ class DriverServer : public Server {
   std::string ip_name_;
   bool fast_path_ = false;
   int tcp_shards_ = 1;
-  int udp_shards_ = 1;
   // Staging pool for burst descriptors; created only when the device
   // coalesces (a per-frame interrupt travels inline and allocates nothing).
   chan::Pool* burst_pool_ = nullptr;

@@ -17,12 +17,12 @@ int IpServer::ifindex_of(const std::string& driver) {
 void IpServer::send_l4(std::uint8_t protocol,
                        std::span<const net::L4Packet> segs) {
   sim::Context& ctx = cur();
-  // The steering point of the sharded transport plane: one flow always
-  // hashes to the same replica, so replicas never share connections (and
-  // an aggregate, one flow by construction, never spans two).
+  // The steering point of the sharded TCP plane: one flow always hashes to
+  // the same replica, so replicas never share connections (and an
+  // aggregate, one flow by construction, never spans two).  UDP has one
+  // server.
   const char proto = protocol == net::kProtoUdp ? 'U' : 'T';
-  const int shard = steer(segs.front(), proto == 'U' ? cfg_.udp_shards
-                                                     : cfg_.tcp_shards);
+  const int shard = proto == 'U' ? 0 : steer(segs.front(), cfg_.tcp_shards);
   const std::string target = transport_shard_name(proto, shard);
   if (segs.size() > 1) charge(ctx, 150);  // descriptor packing, as on TX
   std::vector<WireRxFrame> recs(segs.size());
@@ -143,8 +143,7 @@ void IpServer::start(bool restart) {
   std::vector<std::string> peers;
   for (int s = 0; s < std::max(1, cfg_.tcp_shards); ++s)
     peers.push_back(tcp_shard_name(s));
-  for (int s = 0; s < std::max(1, cfg_.udp_shards); ++s)
-    peers.push_back(udp_shard_name(s));
+  peers.push_back(kUdpName);
   peers.push_back(kStoreName);
   if (cfg_.use_pf) peers.push_back(kPfName);
   for (int ifindex : cfg_.ifindexes) peers.push_back(driver_name(ifindex));
@@ -172,25 +171,10 @@ void IpServer::start(bool restart) {
     });
   } else {
     post_control([this](sim::Context& ctx) {
-      store_config(ctx);
+      store_put(hdr_pool_, kKeyIpConfig, engine_->config().serialize(), ctx);
       announce(false);
     });
   }
-}
-
-void IpServer::store_config(sim::Context& ctx) {
-  const auto bytes = engine_->config().serialize();
-  chan::RichPtr chunk =
-      hdr_pool_->alloc(static_cast<std::uint32_t>(bytes.size()));
-  if (!chunk.valid()) return;
-  auto view = hdr_pool_->write_view(chunk);
-  std::copy(bytes.begin(), bytes.end(), view.begin());
-  chan::Message m;
-  m.opcode = kStorePut;
-  m.arg0 = kKeyIpConfig;
-  m.req_id = request_db().add(kStoreName, chunk.offset, {});
-  m.ptr = chunk;
-  if (!send_to(kStoreName, m, ctx)) hdr_pool_->release(chunk);
 }
 
 void IpServer::on_killed() {
@@ -313,22 +297,13 @@ void IpServer::on_message(const std::string& from, const chan::Message& m,
         up.arg0 = 1;
         for (int s = 0; s < std::max(1, cfg_.tcp_shards); ++s)
           send_to(tcp_shard_name(s), up, ctx);
-        for (int s = 0; s < std::max(1, cfg_.udp_shards); ++s)
-          send_to(udp_shard_name(s), up, ctx);
+        send_to(kUdpName, up, ctx);
       }
       return;
     case kL4RxDone:
       charge(ctx, 80);
       engine_->rx_done(m.ptr);
       return;
-    case kStoreAck: {
-      std::uint64_t chunk_off = 0;
-      if (request_db().complete(m.req_id, &chunk_off)) {
-        // Our config snapshot was copied by the storage server; free it.
-        hdr_pool_->release(m.ptr);
-      }
-      return;
-    }
     case kStoreReply: {
       if (!request_db().complete(m.req_id)) return;
       if (m.arg0 != 0) {
@@ -369,7 +344,7 @@ void IpServer::on_peer_up(const std::string& peer, bool restarted,
   }
   if (peer == kStoreName && restarted && engine_) {
     // Storage came back empty: every server must store its state again.
-    store_config(ctx);
+    store_put(hdr_pool_, kKeyIpConfig, engine_->config().serialize(), ctx);
     return;
   }
 }
@@ -390,14 +365,10 @@ void IpServer::on_peer_down(const std::string& peer, sim::Context& ctx) {
     }
     return;
   }
-  for (int s = 0; s < std::max(1, cfg_.udp_shards); ++s) {
-    if (peer != udp_shard_name(s)) continue;
-    if (rx_pool_ != nullptr) {
-      // UDP replicas borrow frames too once the RSS fast path posts
-      // kDrvRx straight to them; same reclaim discipline.
-      rx_pool_->reclaim(transport_borrower('U', s));
-    }
-    return;
+  if (peer == kUdpName && rx_pool_ != nullptr) {
+    // UDP borrows frames too once the RSS fast path posts kDrvRx straight
+    // to it; same reclaim discipline.
+    rx_pool_->reclaim(transport_borrower('U', 0));
   }
 }
 

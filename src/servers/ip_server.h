@@ -26,10 +26,9 @@ class IpServer : public Server {
     bool csum_offload = true;
     int rx_buffers_per_nic = 96;
     std::uint32_t rx_buf_size = 2048;
-    // Sharded transport plane: how many TCP/UDP replicas inbound frames
-    // are steered across (by 4-tuple hash).  1 = the classic single pair.
+    // Sharded TCP plane: how many TCP replicas inbound TCP frames are
+    // steered across (by 4-tuple hash).  1 = the classic single server.
     int tcp_shards = 1;
-    int udp_shards = 1;
     // Receive-side aggregation at the IP -> TCP boundary: merge in-order
     // same-flow TCP segments of a coalesced RX burst into one kL4Rx
     // super-segment.  Off by default; meaningful only when the NIC
@@ -61,11 +60,10 @@ class IpServer : public Server {
 
  private:
   void build_engine();
-  void store_config(sim::Context& ctx);
   void post_rx_buffers(int ifindex, sim::Context& ctx);
   static int ifindex_of(const std::string& driver);
-  // The transport replica an inbound packet is steered to: a 4-tuple hash
-  // over (src, dst) and the transport ports read out of the frame.
+  // The TCP replica an inbound segment is steered to: a 4-tuple hash over
+  // (src, dst) and the ports read out of the frame.
   int steer(const net::L4Packet& pkt, int shards);
   // Sends one frame or one GRO aggregate up to its transport replica (the
   // kL4Rx leg).

@@ -63,18 +63,8 @@ void PfServer::apply_rules(std::vector<net::PfRule> rules) {
 }
 
 void PfServer::save_rules(sim::Context& ctx) {
-  const auto bytes = net::PfEngine::serialize_rules(engine_->rules());
-  chan::RichPtr chunk =
-      pool_->alloc(static_cast<std::uint32_t>(bytes.size()));
-  if (!chunk.valid()) return;
-  auto view = pool_->write_view(chunk);
-  std::copy(bytes.begin(), bytes.end(), view.begin());
-  chan::Message m;
-  m.opcode = kStorePut;
-  m.arg0 = kKeyPfRules;
-  m.req_id = request_db().add(kStoreName, 0, {});
-  m.ptr = chunk;
-  if (!send_to(kStoreName, m, ctx)) pool_->release(chunk);
+  store_put(pool_, kKeyPfRules,
+            net::PfEngine::serialize_rules(engine_->rules()), ctx);
 }
 
 void PfServer::request_conn_lists(sim::Context& ctx) {
@@ -137,9 +127,6 @@ void PfServer::on_message(const std::string& from, const chan::Message& m,
       }
       return;
     }
-    case kStoreAck:
-      request_db().complete(m.req_id);
-      return;
     case kStoreReply: {
       if (!request_db().complete(m.req_id)) return;
       bool restored = false;

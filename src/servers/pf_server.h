@@ -19,8 +19,8 @@ namespace newtos::servers {
 
 class PfServer : public Server {
  public:
-  // `transports` names every transport replica to query when rebuilding
-  // the connection table (all TCP and UDP shards).
+  // `transports` names every transport server to query when rebuilding
+  // the connection table (all TCP shards and the UDP server).
   PfServer(NodeEnv* env, sim::SimCore* core, std::vector<net::PfRule> rules,
            std::vector<std::string> transports = {kTcpName, kUdpName});
 

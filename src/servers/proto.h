@@ -9,9 +9,9 @@
 //   IP <-> PF              : kPfCheck / kPfVerdict
 //   IP <-> DRV             : kDrvTx(+Done), kDrvRx, kDrvRxBuf, kDrvLink
 //   IP -> TCP/UDP          : kL4Rx / kL4RxDone back (receive-pool frees)
-//   DRV -> TCP/UDP shard   : kDrvRx (RSS fast path; kDrvRxCredit to IP),
-//                            and kDrvRx back to IP for a frame the shard
-//                            cannot judge
+//   DRV -> TCP shard / UDP : kDrvRx (RSS fast path; kDrvRxCredit to IP),
+//                            and kDrvRx back to IP for a frame the
+//                            transport cannot judge
 //   * <-> STORE            : kStorePut/Get/Reply/Release (state recovery)
 //   PF -> TCP/UDP          : kConnList / kConnListReply (state rebuild)
 //
@@ -26,7 +26,7 @@
 #include <cstring>
 #include <span>
 #include <type_traits>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "src/chan/message.h"
@@ -99,16 +99,14 @@ enum Opcode : std::uint16_t {
   kConnList = 80,     // req_id
   kConnListReply,     // req_id; ptr=array of PfStateKey records
 
-  // --- transport replica maintenance (shard <-> sibling shard) -----------------------
-  // Port-owning state is replicated SO_REUSEPORT-style to every replica so
-  // the 4-tuple steering in IP can hand a frame to any of them: TCP
-  // listeners (each replica owns an accept queue for the port) and whole
-  // UDP socket records.  Upserts are idempotent; a restarted replica is
-  // re-seeded by its siblings when it announces (only home records live
-  // in storage).
+  // --- TCP replica maintenance (shard <-> sibling shard) -----------------------------
+  // Listeners are replicated SO_REUSEPORT-style to every TCP replica, so
+  // each owns an accept queue for the port and the 4-tuple steering in IP
+  // can hand a SYN to any of them.  Upserts are idempotent; a restarted
+  // replica is re-seeded by its siblings when it announces (only home
+  // listeners live in storage).
   kShardRepListen = 100,  // socket=id; arg0=addr; arg1=port<<16|backlog
-  kShardRepSock,          // socket=id; arg0=local<<32|peer; arg1=lport<<16|pport
-  kShardRepClose,         // socket=id (listener / UDP socket removal)
+  kShardRepClose,         // socket=id (listener removal)
 
   // --- storage ---------------------------------------------------------------------------
   kStorePut = 90,  // arg0=key id; ptr=value bytes (requester pool)
@@ -401,63 +399,48 @@ inline void run_sock_batch(std::span<const WireSockOp> ops,
 
 // --- transport-shard routing of a submission flush ---------------------------------
 //
-// Each op of a flush is assigned to one transport replica: opens go
-// round-robin over the replicas the caller reports alive (the cursors
-// persist across flushes, so new sockets spread out — and a replica that
+// Each TCP op of a flush is assigned to one TCP replica: opens go
+// round-robin over the replicas the caller reports alive (the cursor
+// persists across flushes, so new sockets spread out — and a replica that
 // is mid-reincarnation is skipped instead of failing 1/N of new opens),
-// in-batch sentinel ops follow the nearest preceding open of their
-// protocol (they must execute where that open executes), and every other
-// op routes by the shard its socket id encodes.
-
-struct ShardCursors {
-  int tcp = 0;
-  int udp = 0;
-};
-
-// Calls assign(index, shard) for every op, in order.  alive(proto, shard)
-// reports whether that replica can take new sockets right now; when none
-// is alive the plain round-robin choice stands (and fails loudly there).
+// in-batch sentinel ops follow the nearest preceding open (they must
+// execute where that open executes), and every other op routes by the
+// shard its socket id encodes.  UDP has one server: its ops get shard 0.
+//
+// Calls assign(index, shard) for every op, in order.  alive(shard) reports
+// whether that TCP replica can take new sockets right now; when none is
+// alive the plain round-robin choice stands (and fails loudly there).
 template <typename AssignFn, typename AliveFn>
 inline void route_sock_shards(std::span<const WireSockOp> ops, int tcp_shards,
-                              int udp_shards, ShardCursors& rr,
-                              AssignFn&& assign, AliveFn&& alive) {
-  int open_t = 0;  // shard of the last in-batch open, per protocol
-  int open_u = 0;
+                              int& rr, AssignFn&& assign, AliveFn&& alive) {
+  const int shards = std::max(1, tcp_shards);
+  int open_t = 0;  // shard of the last in-batch TCP open
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const WireSockOp& op = ops[i];
-    const bool is_udp = op.proto == 'U';
-    const char proto = is_udp ? 'U' : 'T';
-    const int shards = std::max(1, is_udp ? udp_shards : tcp_shards);
+    if (op.proto == 'U') {
+      assign(i, 0);
+      continue;
+    }
     int shard;
     if (op.opcode == kSockOpen) {
-      int& cur = is_udp ? rr.udp : rr.tcp;
-      shard = cur % shards;
+      shard = rr % shards;
       for (int tries = 0; tries < shards; ++tries) {
-        const int cand = (cur + tries) % shards;
-        if (alive(proto, cand)) {
+        const int cand = (rr + tries) % shards;
+        if (alive(cand)) {
           shard = cand;
           break;
         }
       }
-      cur = (shard + 1) % shards;
-      (is_udp ? open_u : open_t) = shard;
+      rr = (shard + 1) % shards;
+      open_t = shard;
     } else if (op.sock == kSockFromBatchOpen) {
-      shard = is_udp ? open_u : open_t;
+      shard = open_t;
     } else {
       shard = net::sock_shard(op.sock);
       if (shard >= shards) shard = 0;  // stale id after a reshard: shard 0 rejects it
     }
     assign(i, shard);
   }
-}
-
-template <typename AssignFn>
-inline void route_sock_shards(std::span<const WireSockOp> ops, int tcp_shards,
-                              int udp_shards, ShardCursors& rr,
-                              AssignFn&& assign) {
-  route_sock_shards(ops, tcp_shards, udp_shards, rr,
-                    std::forward<AssignFn>(assign),
-                    [](char, int) { return true; });
 }
 
 // Well-known server names.
@@ -472,26 +455,22 @@ inline constexpr const char* kStackName = "stack";  // combined single server
 inline const std::string driver_name(int ifindex) {
   return "drv" + std::to_string(ifindex);
 }
-// Replica names of the sharded transport plane.  Shard 0 keeps the classic
+// Replica names of the sharded TCP plane.  Shard 0 keeps the classic
 // unsuffixed name, so every single-shard arrangement (the default, and all
 // of Table II) is byte-for-byte what it always was; further replicas are
-// "tcp1".."tcpN-1" / "udp1".."udpN-1".
+// "tcp1".."tcpN-1".  UDP is one server, always named "udp".
 inline const std::string tcp_shard_name(int shard) {
   return shard == 0 ? kTcpName : kTcpName + std::to_string(shard);
 }
-inline const std::string udp_shard_name(int shard) {
-  return shard == 0 ? kUdpName : kUdpName + std::to_string(shard);
-}
 inline const std::string transport_shard_name(char proto, int shard) {
-  return proto == 'U' ? udp_shard_name(shard) : tcp_shard_name(shard);
+  return proto == 'U' ? kUdpName : tcp_shard_name(shard);
 }
-// The sibling replica names of one shard of a sharded transport.
-inline std::vector<std::string> transport_shard_siblings(char proto,
-                                                         int shard,
-                                                         int shard_count) {
+// The sibling replica names of one TCP shard.
+inline std::vector<std::string> tcp_shard_siblings(int shard,
+                                                   int shard_count) {
   std::vector<std::string> out;
   for (int i = 0; i < shard_count; ++i) {
-    if (i != shard) out.push_back(transport_shard_name(proto, i));
+    if (i != shard) out.push_back(tcp_shard_name(i));
   }
   return out;
 }

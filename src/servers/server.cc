@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -255,6 +256,11 @@ void Server::pump(sim::Context& ctx) {
       if (!drop_work_) {
         if (m.opcode == kWorkProbe) {
           answer_probe(m, ctx);
+        } else if (m.opcode == kStoreAck) {
+          // The storage server holds its own copy of a store_put value:
+          // free the put's chunk.  An ack this incarnation did not
+          // request (its put died with a predecessor) is ignored.
+          if (rdb_.complete(m.req_id)) env_->pools->release(m.ptr);
         } else {
           on_message(from, m, ctx);
         }
@@ -310,6 +316,23 @@ void Server::answer_probe(const chan::Message& m, sim::Context& ctx) {
     ack.req_id = cookie;
     send_to(kRsName, ack, c);
   });
+}
+
+bool Server::store_put(chan::Pool* pool, std::uint32_t key,
+                       std::span<const std::byte> bytes, sim::Context& ctx) {
+  chan::RichPtr chunk = pool->alloc(static_cast<std::uint32_t>(bytes.size()));
+  if (!chunk.valid()) return false;
+  auto view = pool->write_view(chunk);
+  std::copy(bytes.begin(), bytes.end(), view.begin());
+  chan::Message m;
+  m.opcode = kStorePut;
+  m.arg0 = key;
+  m.req_id = rdb_.add(kStoreName, 0, {});
+  m.ptr = chunk;
+  if (send_to(kStoreName, m, ctx)) return true;
+  rdb_.complete(m.req_id);
+  pool->release(chunk);
+  return false;
 }
 
 void Server::enter_idle(sim::Context& ctx) {

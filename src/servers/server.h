@@ -19,6 +19,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,8 +81,8 @@ struct NodeEnv {
   // Socket events (readable/connected/reset/...) routed to the owning
   // application actor; the data path bypasses the SYSCALL server
   // (Section V-B).  `shard` names the transport replica that raised the
-  // event — for replicated state (listener accept queues, UDP sockets) it
-  // can differ from the shard the socket id encodes.
+  // event — for a replicated listener's accept queue it can differ from
+  // the shard the socket id encodes.
   std::function<void(int shard, char proto, std::uint32_t sock,
                      std::uint8_t event)>
       sock_event;
@@ -251,6 +252,14 @@ class Server {
   net::TimerService* timers() { return &timer_adapter_; }
 
   chan::RequestDb& request_db() { return rdb_; }
+
+  // Stores `bytes` under `key` in this server's storage namespace: copies
+  // them into a chunk of `pool` and sends it with kStorePut.  The storage
+  // server copies the value out and acks with the chunk, which the pump
+  // then releases.  False when the pool is exhausted or
+  // the store refuses the message; the chunk is released then.
+  bool store_put(chan::Pool* pool, std::uint32_t key,
+                 std::span<const std::byte> bytes, sim::Context& ctx);
 
  private:
   struct OutPeer {

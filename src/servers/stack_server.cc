@@ -299,30 +299,16 @@ void StackServer::on_killed() {
   posted_.clear();
 }
 
-void StackServer::save_one(std::uint32_t key,
-                           const std::vector<std::byte>& bytes,
-                           sim::Context& ctx) {
-  if (bytes.empty()) return;
-  chan::RichPtr chunk = pool_->alloc(static_cast<std::uint32_t>(bytes.size()));
-  if (!chunk.valid()) return;
-  auto view = pool_->write_view(chunk);
-  std::copy(bytes.begin(), bytes.end(), view.begin());
-  chan::Message m;
-  m.opcode = kStorePut;
-  m.arg0 = key;
-  m.req_id = request_db().add(kStoreName, 0, {});
-  m.ptr = chunk;
-  if (!send_to(kStoreName, m, ctx)) pool_->release(chunk);
-}
-
 void StackServer::store_state(sim::Context& ctx) {
-  save_one(kKeyIpConfig, ip_->config().serialize(), ctx);
-  save_one(kKeyUdpSockets, net::UdpEngine::serialize_socks(udp_->snapshot()),
-           ctx);
-  save_one(kKeyTcpListeners,
-           net::TcpEngine::serialize_listeners(tcp_->listeners()), ctx);
-  if (pf_)
-    save_one(kKeyPfRules, net::PfEngine::serialize_rules(pf_->rules()), ctx);
+  store_put(pool_, kKeyIpConfig, ip_->config().serialize(), ctx);
+  store_put(pool_, kKeyUdpSockets,
+            net::UdpEngine::serialize_socks(udp_->snapshot()), ctx);
+  store_put(pool_, kKeyTcpListeners,
+            net::TcpEngine::serialize_listeners(tcp_->listeners()), ctx);
+  if (pf_) {
+    store_put(pool_, kKeyPfRules, net::PfEngine::serialize_rules(pf_->rules()),
+              ctx);
+  }
 }
 
 void StackServer::handle_sock_request(
@@ -441,9 +427,6 @@ void StackServer::on_message(const std::string& from, const chan::Message& m,
         post_rx_buffers(ifindex_of(from), ctx);
         if (tcp_) tcp_->on_path_restored();
       }
-      return;
-    case kStoreAck:
-      request_db().complete(m.req_id);
       return;
     case kStoreReply: {
       std::uint64_t key = 0;

@@ -76,8 +76,6 @@ class StackServer : public Server {
   void install_inline_nic_handlers();
   void post_rx_buffers(int ifindex, sim::Context& ctx);
   void store_state(sim::Context& ctx);
-  void save_one(std::uint32_t key, const std::vector<std::byte>& bytes,
-                sim::Context& ctx);
   static int ifindex_of(const std::string& driver);
   drv::SimNic* nic_of(int ifindex);
 

@@ -6,17 +6,16 @@ namespace newtos::servers {
 
 SyscallServer::SyscallServer(NodeEnv* env, sim::SimCore* core,
                              std::vector<std::string> tcp_targets,
-                             std::vector<std::string> udp_targets)
+                             std::string udp_target)
     : Server(env, kSyscallName, core),
       tcp_targets_(std::move(tcp_targets)),
-      udp_targets_(std::move(udp_targets)) {
-  // Deterministic group/channel order: TCP shards first, then UDP shards
-  // (the combined stack collapses to one shared target).
+      udp_target_(std::move(udp_target)) {
+  // Deterministic group/channel order: TCP shards first, then UDP (the
+  // combined stack collapses to one shared target).
   targets_ = tcp_targets_;
-  for (const auto& t : udp_targets_) {
-    if (std::find(targets_.begin(), targets_.end(), t) == targets_.end())
-      targets_.push_back(t);
-  }
+  if (std::find(targets_.begin(), targets_.end(), udp_target_) ==
+      targets_.end())
+    targets_.push_back(udp_target_);
 }
 
 SyscallServer::~SyscallServer() {
@@ -87,16 +86,12 @@ void SyscallServer::forward_batch(std::vector<BatchOp> ops,
   }
   std::vector<std::string> target_of(ops.size());
   route_sock_shards(
-      wire_in, static_cast<int>(tcp_targets_.size()),
-      static_cast<int>(udp_targets_.size()), open_rr_,
+      wire_in, static_cast<int>(tcp_targets_.size()), open_rr_,
       [&](std::size_t i, int shard) {
         target_of[i] =
-            ops[i].proto == 'U' ? udp_targets_[shard] : tcp_targets_[shard];
+            ops[i].proto == 'U' ? udp_target_ : tcp_targets_[shard];
       },
-      [&](char proto, int shard) {
-        return peer_ready(proto == 'U' ? udp_targets_[shard]
-                                       : tcp_targets_[shard]);
-      });
+      [&](int shard) { return peer_ready(tcp_targets_[shard]); });
 
   for (const auto& target : targets_) {
     std::vector<std::size_t> idxs;

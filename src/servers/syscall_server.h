@@ -7,10 +7,11 @@
 // that it remembers the last unfinished operation per socket so it can
 // resubmit (UDP, listen) or return an error (TCP) when a transport restarts.
 //
-// Sharded transport plane: each protocol may be served by N replicas.  The
-// SYSCALL server is the control-path steering point: opens are spread
-// round-robin over the replicas, every later op routes by the shard its
-// socket id encodes, and in-batch sentinel ops travel with their open.
+// Sharded TCP plane: TCP may be served by N replicas.  The SYSCALL server
+// is the control-path steering point: TCP opens are spread round-robin over
+// the replicas, every later op routes by the shard its socket id encodes,
+// and in-batch sentinel ops travel with their open.  UDP ops all go to the
+// one UDP server.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +30,12 @@ class SyscallServer : public Server {
  public:
   using DeliverFn = std::function<void(const chan::Message&)>;
 
-  // `tcp_targets`/`udp_targets` name the servers handling each protocol,
-  // one per shard: the TCP/UDP replicas in the split stack, or the single
-  // combined "stack" server.
+  // `tcp_targets` names the server handling each TCP shard and
+  // `udp_target` the one handling UDP: the TCP replicas and the UDP server
+  // in the split stack, or the single combined "stack" server.
   SyscallServer(NodeEnv* env, sim::SimCore* core,
                 std::vector<std::string> tcp_targets = {kTcpName},
-                std::vector<std::string> udp_targets = {kUdpName});
+                std::string udp_target = kUdpName);
   // Teardown: drops the staging-chunk references (and staged payloads) of
   // ops that never got a reply.
   ~SyscallServer() override;
@@ -80,9 +81,9 @@ class SyscallServer : public Server {
   void fail_op(const chan::Message& request, const DeliverFn& deliver);
 
   std::vector<std::string> tcp_targets_;
-  std::vector<std::string> udp_targets_;
+  std::string udp_target_;
   std::vector<std::string> targets_;  // tcp ∪ udp, deduplicated, in order
-  ShardCursors open_rr_;        // round-robin cursors for new sockets
+  int open_rr_ = 0;             // round-robin TCP cursor for new sockets
   chan::Pool* pool_ = nullptr;  // staging for packed kSockBatch arrays
   std::map<std::uint64_t, Pending> pending_;
   std::uint64_t next_req_ = 1;

@@ -14,7 +14,7 @@ TcpServer::TcpServer(NodeEnv* env, sim::SimCore* core, net::TcpOptions opts,
       opts_(opts),
       src_for_(std::move(src_for)),
       shard_count_(shard_count),
-      siblings_(transport_shard_siblings('T', shard, shard_count)) {}
+      siblings_(tcp_shard_siblings(shard, shard_count)) {}
 
 TcpServer::~TcpServer() {
   drop_engine(engine_);
@@ -31,11 +31,10 @@ void TcpServer::build_writer() {
   CheckpointWriter::Env we;
   we.pool = pool_;
   we.pools = env().pools;
-  we.watermark = opts_.ckpt_watermark;
-  we.send_store = [this](const chan::Message& m, sim::Context& ctx) {
-    return send_to(kStoreName, m, ctx);
+  we.store_put = [this](std::uint32_t key, std::span<const std::byte> value,
+                        sim::Context& ctx) {
+    return store_put(pool_, key, value, ctx);
   };
-  we.new_store_req = [this] { return request_db().add(kStoreName, 0, {}); };
   we.defer = [this](std::function<void(sim::Context&)> fn) {
     post_control(std::move(fn), 100);
   };
@@ -196,19 +195,8 @@ void TcpServer::finish_restore(sim::Context& ctx) {
 }
 
 void TcpServer::save_listeners(sim::Context& ctx) {
-  const auto bytes =
-      net::TcpEngine::serialize_listeners(engine_->listeners());
-  chan::RichPtr chunk =
-      pool_->alloc(static_cast<std::uint32_t>(bytes.size()));
-  if (!chunk.valid()) return;
-  auto view = pool_->write_view(chunk);
-  std::copy(bytes.begin(), bytes.end(), view.begin());
-  chan::Message m;
-  m.opcode = kStorePut;
-  m.arg0 = kKeyTcpListeners;
-  m.req_id = request_db().add(kStoreName, 0, {});
-  m.ptr = chunk;
-  if (!send_to(kStoreName, m, ctx)) pool_->release(chunk);
+  store_put(pool_, kKeyTcpListeners,
+            net::TcpEngine::serialize_listeners(engine_->listeners()), ctx);
 }
 
 void TcpServer::replicate_listener(const net::TcpEngine::ListenRec& rec,
@@ -345,9 +333,6 @@ void TcpServer::on_message(const std::string& from, const chan::Message& m,
       return;
     case kStoreRelease:
       pool_->release(m.ptr);
-      return;
-    case kStoreAck:
-      request_db().complete(m.req_id);
       return;
     case kStoreReply: {
       if (!request_db().complete(m.req_id)) return;

@@ -1,6 +1,7 @@
-// What the TCP and UDP replicas share on the receive side: the kL4Rx leg
-// from IP, and the per-shard RX fast path (src/net/ip_fastpath.h) that
-// multi-queue RSS drivers post their kDrvRx messages to directly.
+// What the TCP replicas and the UDP server share on the receive side: the
+// kL4Rx leg from IP, and the per-shard RX fast path (src/net/ip_fastpath.h)
+// that multi-queue RSS drivers post their kDrvRx messages to directly (the
+// UDP server is shard 0 and takes queue 0's UDP frames).
 //
 // Each subclass supplies deliver_l4() — its per-packet charging rule and
 // engine input — and this class feeds it from both legs: from IP with the

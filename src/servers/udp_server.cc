@@ -1,6 +1,5 @@
 #include "src/servers/udp_server.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "src/net/pbuf.h"
@@ -8,12 +7,8 @@
 namespace newtos::servers {
 
 UdpServer::UdpServer(NodeEnv* env, sim::SimCore* core,
-                     std::function<net::Ipv4Addr(net::Ipv4Addr)> src_for,
-                     int shard, int shard_count)
-    : TransportServer(env, core, 'U', shard),
-      src_for_(std::move(src_for)),
-      shard_count_(shard_count),
-      siblings_(transport_shard_siblings('U', shard, shard_count)) {}
+                     std::function<net::Ipv4Addr(net::Ipv4Addr)> src_for)
+    : TransportServer(env, core, 'U', 0), src_for_(std::move(src_for)) {}
 
 UdpServer::~UdpServer() {
   drop_engine(engine_);
@@ -23,23 +18,12 @@ UdpServer::~UdpServer() {
                     });
 }
 
-bool UdpServer::is_sibling(const std::string& peer) const {
-  return std::find(siblings_.begin(), siblings_.end(), peer) !=
-         siblings_.end();
-}
-
 void UdpServer::build_engine() {
   net::UdpEngine::Env e;
   e.clock = clock();
   e.pools = env().pools;
   e.buf_pool = pool_;
   e.src_for = src_for_;
-  e.shard = shard_;
-  e.shard_count = shard_count_;
-  if (shard_count_ > 1) {
-    e.sock_base = net::sock_shard_base(shard_);
-    e.sock_span = net::kSockShardSpan;
-  }
   e.output = [this](net::TxSeg&& seg, std::uint64_t cookie) {
     sim::Context& ctx = cur();
     charge(ctx, 150);  // descriptor packing
@@ -87,10 +71,6 @@ void UdpServer::start(bool restart) {
     expose_in_queue(p);
     connect_out(p);
   }
-  for (const auto& sib : siblings_) {
-    expose_in_queue(sib);
-    connect_out(sib);
-  }
   if (env().knobs.supervision) {
     expose_in_queue(kRsName, 64);
     connect_out(kRsName);
@@ -120,41 +100,8 @@ void UdpServer::on_killed() {
 }
 
 void UdpServer::save_sockets(sim::Context& ctx) {
-  const auto bytes = net::UdpEngine::serialize_socks(engine_->snapshot());
-  chan::RichPtr chunk =
-      pool_->alloc(static_cast<std::uint32_t>(bytes.size()));
-  if (!chunk.valid()) return;
-  auto view = pool_->write_view(chunk);
-  std::copy(bytes.begin(), bytes.end(), view.begin());
-  chan::Message m;
-  m.opcode = kStorePut;
-  m.arg0 = kKeyUdpSockets;
-  m.req_id = request_db().add(kStoreName, 0, {});
-  m.ptr = chunk;
-  if (!send_to(kStoreName, m, ctx)) pool_->release(chunk);
-}
-
-void UdpServer::replicate_sock(net::SockId s, sim::Context& ctx,
-                               const std::string* only) {
-  auto rec = engine_->record(s);
-  if (!rec) return;
-  chan::Message m;
-  m.opcode = kShardRepSock;
-  m.socket = rec->id;
-  m.arg0 = pack_addrs(rec->local, rec->peer);
-  m.arg1 = (static_cast<std::uint64_t>(rec->lport) << 16) | rec->pport;
-  if (only != nullptr) {
-    send_to(*only, m, ctx);
-    return;
-  }
-  send_to_all(siblings_, m, ctx);
-}
-
-void UdpServer::replicate_close(net::SockId s, sim::Context& ctx) {
-  chan::Message m;
-  m.opcode = kShardRepClose;
-  m.socket = s;
-  send_to_all(siblings_, m, ctx);
+  store_put(pool_, kKeyUdpSockets,
+            net::UdpEngine::serialize_socks(engine_->snapshot()), ctx);
 }
 
 void UdpServer::handle_sock_request(
@@ -166,7 +113,6 @@ void UdpServer::handle_sock_request(
   r.req_id = m.req_id;
   r.socket = m.socket;
   bool state_changed = false;
-  bool removed = false;
   switch (m.opcode) {
     case kSockOpen:
       r.arg0 = engine_->open();
@@ -193,8 +139,8 @@ void UdpServer::handle_sock_request(
     case kSockSendTo: {
       charge(ctx, sim().costs().udp_packet_proc);
       // sendto on an unbound socket auto-binds an ephemeral port — a state
-      // change the replicas must learn about, or the replies steered to
-      // them find no socket.
+      // change storage must learn about, or a restart loses the port the
+      // replies are addressed to.
       const auto before = engine_->record(m.socket);
       r.arg0 = engine_->sendto(
                    m.socket, m.ptr,
@@ -209,23 +155,13 @@ void UdpServer::handle_sock_request(
       engine_->close(m.socket);
       r.arg0 = 1;
       state_changed = true;
-      removed = true;
       break;
     default:
       r.arg0 = 0;
       break;
   }
   reply(r);
-  if (state_changed) {
-    if (!siblings_.empty()) {
-      if (removed) {
-        replicate_close(m.socket, ctx);
-      } else {
-        replicate_sock(r.socket, ctx);
-      }
-    }
-    save_sockets(ctx);
-  }
+  if (state_changed) save_sockets(ctx);
 }
 
 void UdpServer::on_message(const std::string& from, const chan::Message& m,
@@ -263,42 +199,14 @@ void UdpServer::on_message(const std::string& from, const chan::Message& m,
       send_to(from, r, ctx);
       return;
     }
-    case kShardRepSock: {
-      // Replica records live only in the engine: restarts rebuild them
-      // from the siblings' re-seed, never from storage, so there is no
-      // store write here.
-      net::UdpEngine::SockRec rec;
-      rec.id = m.socket;
-      rec.local = unpack_hi(m.arg0);
-      rec.peer = unpack_lo(m.arg0);
-      rec.lport = static_cast<std::uint16_t>(m.arg1 >> 16);
-      rec.pport = static_cast<std::uint16_t>(m.arg1);
-      engine_->upsert(rec);
-      return;
-    }
-    case kShardRepClose:
-      engine_->close(m.socket);
-      return;
     case kStoreRelease:
       pool_->release(m.ptr);
-      return;
-    case kStoreAck:
-      request_db().complete(m.req_id);
       return;
     case kStoreReply: {
       if (!request_db().complete(m.req_id)) return;
       if (m.arg0 != 0) {
         auto socks = net::UdpEngine::parse_socks(env().pools->read(m.ptr));
-        if (socks) {
-          // Only HOME sockets restore from storage: replica records are
-          // re-seeded by the siblings on announce, which also reconciles
-          // sockets closed while this replica was down (a stored replica
-          // record could otherwise resurrect a dead socket).
-          for (const auto& rec : *socks) {
-            if (shard_count_ == 1 || net::sock_shard(rec.id) == shard_)
-              engine_->upsert(rec);
-          }
-        }
+        if (socks) engine_->restore(*socks);
         chan::Message rel;
         rel.opcode = kStoreRelease;
         rel.ptr = m.ptr;
@@ -350,14 +258,7 @@ void UdpServer::on_peer_up(const std::string& peer, bool restarted,
     save_sockets(ctx);
     return;
   }
-  if (on_pf_up(peer)) return;
-  if (is_sibling(peer) && engine_) {
-    // A sibling replica came up: push it our home socket records so the
-    // datagrams steered to it find their sockets.  Upserts are idempotent.
-    for (const auto& rec : engine_->snapshot()) {
-      if (net::sock_shard(rec.id) == shard_) replicate_sock(rec.id, ctx, &peer);
-    }
-  }
+  on_pf_up(peer);
 }
 
 }  // namespace newtos::servers

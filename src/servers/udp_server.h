@@ -3,18 +3,16 @@
 // on restart, so a crash is transparent to applications — at worst a
 // datagram is duplicated or lost, which UDP callers tolerate by contract.
 //
-// Sharded transport plane: the node may run N replicas (udp, udp1, ...),
-// each on its own core.  A datagram from an arbitrary peer hashes to an
-// arbitrary replica, so the whole (small) socket table is replicated to
-// every shard on each change; the receive queues stay per replica and the
-// socket layer drains them all.
+// Unlike TCP, UDP runs as one server on one core in every arrangement: it
+// owns every socket and port, so nothing is replicated.  With multi-queue
+// RSS it still takes queue 0's UDP frames straight from the drivers; the
+// other queues' UDP frames reach it through IP.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "src/net/udp.h"
 #include "src/servers/proto.h"
@@ -27,8 +25,7 @@ class UdpServer : public TransportServer {
   // `src_for` selects a source address for unbound sockets (static routing
   // knowledge baked in at build time, like an /etc/ip config).
   UdpServer(NodeEnv* env, sim::SimCore* core,
-            std::function<net::Ipv4Addr(net::Ipv4Addr)> src_for,
-            int shard = 0, int shard_count = 1);
+            std::function<net::Ipv4Addr(net::Ipv4Addr)> src_for);
   // Teardown: releases engine queues and in-flight descriptors straight
   // into the pools (no handler context for done-reports).
   ~UdpServer() override;
@@ -54,17 +51,10 @@ class UdpServer : public TransportServer {
 
  private:
   void build_engine();
+  // Stores the socket table (every change, and after a storage restart).
   void save_sockets(sim::Context& ctx);
-  bool is_sibling(const std::string& peer) const;
-  // Pushes one socket record (or its removal) to every sibling replica /
-  // to one named sibling.
-  void replicate_sock(net::SockId s, sim::Context& ctx,
-                      const std::string* only = nullptr);
-  void replicate_close(net::SockId s, sim::Context& ctx);
 
   std::function<net::Ipv4Addr(net::Ipv4Addr)> src_for_;
-  int shard_count_ = 1;
-  std::vector<std::string> siblings_;
   std::unique_ptr<net::UdpEngine> engine_;
   chan::Pool* pool_ = nullptr;
   struct PendingTx {

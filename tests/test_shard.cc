@@ -1,5 +1,5 @@
-// The sharded transport plane: N replicated TCP/UDP servers with 4-tuple
-// flow steering.
+// The sharded transport plane: N replicated TCP servers with 4-tuple flow
+// steering, beside the one UDP server.
 //
 //  - Steering is deterministic per 4-tuple (one flow, one replica, always).
 //  - An in-batch open lands on the shard its socket id encodes, and the
@@ -7,7 +7,7 @@
 //  - A killed replica is restarted by the reincarnation server without
 //    disturbing connections on sibling shards, and its replicated listener
 //    comes back so the port keeps accepting.
-//  - Replicated UDP socket state delivers datagrams hashed to any shard.
+//  - The one UDP server receives over both RSS legs on a sharded node.
 //  - ReincarnationServer::manage() is idempotent.
 #include <gtest/gtest.h>
 
@@ -27,12 +27,10 @@ using namespace newtos;
 
 namespace {
 
-TestbedOptions sharded(int tcp_shards, int udp_shards = 1, int nics = 1) {
+TestbedOptions sharded(int tcp_shards) {
   TestbedOptions opts;
   opts.mode = StackMode::kSplitSyscall;
-  opts.nics = nics;
   opts.tcp_shards = tcp_shards;
-  opts.udp_shards = udp_shards;
   return opts;
 }
 
@@ -302,13 +300,19 @@ TEST(Sharding, AcceptQueueSurvivesSiblingReseed) {
   tb.run_until(650 * sim::kMillisecond);
 }
 
-// Replicated UDP socket state: datagrams from many peers hash across both
-// replicas, each replica's copy of the bound socket queues its share, and
-// the application drains them all through one socket object.
-TEST(Sharding, UdpReplicasDeliverAcrossShards) {
-  Testbed tb(sharded(1, /*udp_shards=*/2));
+// UDP is one server even on a sharded RSS node.  Datagrams from 16 source
+// ports hash over all four RSS queues: queue 0's go from the drivers
+// straight to the UDP server's fast path, the other queues' reach it
+// through IP, and every one lands in the one bound socket.  A sendto
+// auto-bind on the node still reaches storage: a restarted UDP server
+// restores the auto-bound port.
+TEST(Sharding, UdpServerReceivesOverBothRssLegs) {
+  TestbedOptions opts = sharded(4);
+  opts.rx_queues = 4;
+  Testbed tb(opts);
+  Node& dut = tb.newtos();
 
-  AppActor* srv_app = tb.newtos().add_app("udp_srv");
+  AppActor* srv_app = dut.add_app("udp_srv");
   UdpSocket server(*srv_app);
   int received = 0;
   srv_app->call([&](sim::Context&) {
@@ -318,26 +322,49 @@ TEST(Sharding, UdpReplicasDeliverAcrossShards) {
     });
   });
 
-  constexpr int kClients = 8;
+  constexpr int kClients = 16;
   AppActor* cli_app = tb.peer().add_app("udp_cli");
   std::vector<std::unique_ptr<UdpSocket>> clients;
-  // Give the server's bind a moment to replicate to the sibling shard;
-  // datagrams hashed there before the record lands would be dropped.
   cli_app->call_after(5 * sim::kMillisecond, [&](sim::Context&) {
     for (int i = 0; i < kClients; ++i) {
+      // One socket per datagram: each auto-binds its own source port.
       clients.push_back(std::make_unique<UdpSocket>(*cli_app));
-      // Distinct source ports: the 4-tuples hash over both replicas.
       clients.back()->sendto(256, tb.peer().peer_addr(0), 5353, [](bool) {});
     }
   });
 
+  AppActor* out_app = dut.add_app("udp_out");
+  UdpSocket out(*out_app);
+  bool sent = false;
+  out_app->call_after(5 * sim::kMillisecond, [&](sim::Context&) {
+    out.sendto(64, dut.peer_addr(0), 9999, [&](bool ok) { sent = ok; });
+  });
   tb.run_until(300 * sim::kMillisecond);
+
   EXPECT_EQ(received, kClients);
-  // Both replicas actually carried traffic and both know the socket.
-  EXPECT_GT(tb.newtos().udp_engine(0)->stats().datagrams_in, 0u);
-  EXPECT_GT(tb.newtos().udp_engine(1)->stats().datagrams_in, 0u);
-  EXPECT_EQ(tb.newtos().udp_engine(0)->socket_count(),
-            tb.newtos().udp_engine(1)->socket_count());
+  for (int q = 0; q < 4; ++q) {
+    EXPECT_GT(dut.nic(0)->queue_stats(q).rx_frames, 0u) << "queue " << q;
+  }
+  auto* udp =
+      dynamic_cast<servers::UdpServer*>(dut.transport_server('U'));
+  ASSERT_NE(udp, nullptr);
+  ASSERT_NE(udp->fastpath(), nullptr);
+  const std::uint64_t fast = udp->fastpath()->stats().fast_frames;
+  EXPECT_GT(fast, 0u);  // queue 0: driver -> udp
+  EXPECT_EQ(udp->engine()->stats().datagrams_in,
+            static_cast<std::uint64_t>(kClients));
+  EXPECT_LT(fast, static_cast<std::uint64_t>(kClients));  // queues 1-3: IP
+
+  ASSERT_TRUE(sent);
+  ASSERT_NE(out.id(), 0u);
+  dut.server(servers::kUdpName)->kill();
+  tb.run_until(600 * sim::kMillisecond);
+  ASSERT_TRUE(dut.server(servers::kUdpName)->ready());
+  std::uint16_t restored_port = 0;
+  for (const auto& rec : dut.udp_engine()->snapshot()) {
+    if (rec.id == out.id()) restored_port = rec.lport;
+  }
+  EXPECT_NE(restored_port, 0) << "the auto-bound port was never stored";
 }
 
 // Re-managing a server must not duplicate its heartbeat/restart entry —
