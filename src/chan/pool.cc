@@ -4,7 +4,10 @@
 #include <bit>
 #include <cassert>
 #include <memory>
+#include <new>
 #include <utility>
+
+#include <sys/mman.h>
 
 namespace newtos::chan {
 
@@ -17,8 +20,24 @@ std::uint64_t loan_key(std::uint32_t borrower, std::uint32_t base) {
 }  // namespace
 
 Pool::Pool(std::uint32_t id, std::string name, std::size_t size_bytes)
-    : id_(id), name_(std::move(name)), bytes_(size_bytes) {
+    : id_(id), name_(std::move(name)), size_(size_bytes) {
   assert(id_ != 0 && "pool id 0 is reserved for the null rich pointer");
+  if (size_ == 0) return;
+  // Not the heap: after a large free glibc serves pool-sized requests from
+  // recycled memory that calloc must clear, so resident size would depend
+  // on which pools came and went before.  A fresh mapping is always
+  // demand-zero.
+  void* mem = mmap(nullptr, size_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mem == MAP_FAILED) throw std::bad_alloc();
+  // Commit page by page on every host: with transparent huge pages on,
+  // one written byte could otherwise commit 2 MB.
+  madvise(mem, size_, MADV_NOHUGEPAGE);
+  bytes_ = static_cast<std::byte*>(mem);
+}
+
+Pool::~Pool() {
+  if (bytes_ != nullptr) munmap(bytes_, size_);
 }
 
 std::uint32_t Pool::round_chunk(std::uint32_t len) {
@@ -50,7 +69,7 @@ RichPtr Pool::alloc(std::uint32_t length) {
     offset = free_lists_[cls].back();
     free_lists_[cls].pop_back();
   } else {
-    if (rounded == 0 || rounded > bytes_.size() - bump_) {
+    if (rounded == 0 || rounded > size_ - bump_) {
       ++failed_allocs_;
       return kNullRichPtr;
     }
@@ -215,22 +234,21 @@ std::vector<std::uint32_t> Pool::borrowers() const {
 
 std::span<std::byte> Pool::write_view(const RichPtr& p) {
   assert(live(p) && "write through a stale or foreign rich pointer");
-  return {bytes_.data() + p.offset, p.length};
+  return {bytes_ + p.offset, p.length};
 }
 
 bool Pool::dma_write(const RichPtr& p, std::span<const std::byte> data) {
   if (p.pool != id_ || p.generation != generation_) return false;
   if (data.size() > p.length) return false;
-  if (static_cast<std::size_t>(p.offset) + p.length > bytes_.size())
-    return false;
-  std::copy(data.begin(), data.end(), bytes_.begin() + p.offset);
+  if (static_cast<std::size_t>(p.offset) + p.length > size_) return false;
+  std::copy(data.begin(), data.end(), bytes_ + p.offset);
   return true;
 }
 
 std::span<const std::byte> Pool::read_view(const RichPtr& p) const {
   if (p.pool != id_ || p.generation != generation_) return {};
-  if (static_cast<std::size_t>(p.offset) + p.length > bytes_.size()) return {};
-  return {bytes_.data() + p.offset, p.length};
+  if (static_cast<std::size_t>(p.offset) + p.length > size_) return {};
+  return {bytes_ + p.offset, p.length};
 }
 
 void Pool::reset() {

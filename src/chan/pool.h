@@ -31,6 +31,12 @@
 // covers it.  Freed chunks go to LIFO free lists segregated by rounded
 // size, so a range is only ever reused whole and a granule's owner never
 // changes until reset(); containing() is therefore O(1).
+//
+// Storage.  The pool's bytes are one anonymous private mapping, as the
+// shared region a VM maps for the paper's pools would be: pages read as
+// zero and become resident only when first written, so a pool costs host
+// memory in proportion to the bytes the bump pointer has actually carved
+// and used, not to its declared size.  reset() leaves the bytes alone.
 #pragma once
 
 #include <cstddef>
@@ -47,14 +53,17 @@ namespace newtos::chan {
 class Pool {
  public:
   // `id` must be unique per PoolRegistry and non-zero.
+  // Maps `size_bytes` of zero-filled storage; throws std::bad_alloc when
+  // the host refuses the mapping.
   Pool(std::uint32_t id, std::string name, std::size_t size_bytes);
+  ~Pool();
 
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
   std::uint32_t id() const { return id_; }
   const std::string& name() const { return name_; }
-  std::size_t size() const { return bytes_.size(); }
+  std::size_t size() const { return size_; }
   std::uint32_t generation() const { return generation_; }
 
   // Owner-side allocation.  Returns a null pointer when the pool is
@@ -133,7 +142,8 @@ class Pool {
 
   std::uint32_t id_;
   std::string name_;
-  std::vector<std::byte> bytes_;
+  std::byte* bytes_ = nullptr;  // the mapping; null for an empty pool
+  std::size_t size_ = 0;
   std::uint32_t generation_ = 1;
 
   std::uint32_t bump_ = 0;  // high-water mark for fresh allocations

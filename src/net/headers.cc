@@ -63,8 +63,14 @@ std::uint32_t ByteReader::u32() {
 }
 
 MacAddr ByteReader::mac() {
+  // Reads what is left, up to the six bytes, as six u8() calls would.
   MacAddr m;
-  for (auto& b : m.bytes) b = u8();
+  const std::size_t n = std::min(m.bytes.size(), buf_.size() - pos_);
+  for (std::size_t i = 0; i < n; ++i) {
+    m.bytes[i] = std::to_integer<std::uint8_t>(buf_[pos_ + i]);
+  }
+  pos_ += n;
+  if (n < m.bytes.size()) ok_ = false;
   return m;
 }
 

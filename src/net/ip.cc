@@ -13,8 +13,9 @@ namespace newtos::net {
 std::vector<std::byte> IpConfig::serialize() const {
   std::vector<std::byte> out;
   auto put32 = [&out](std::uint32_t v) {
-    const auto* p = reinterpret_cast<const std::byte*>(&v);
-    out.insert(out.end(), p, p + 4);
+    std::byte b[4];
+    std::memcpy(b, &v, 4);  // host order, as parse() reads it back
+    for (std::byte x : b) out.push_back(x);
   };
   put32(static_cast<std::uint32_t>(interfaces.size()));
   for (const auto& i : interfaces) {

@@ -39,7 +39,13 @@ TcpEngine::~TcpEngine() {
     for (auto& rc : c.rcvq) env_.rx_done(rc.frame);
     for (auto& [seq, rc] : c.ooo) env_.rx_done(rc.frame);
   }
-  for (auto& [cookie, hdr] : hdr_inflight_) env_.buf_pool->release(hdr);
+  release_headers();
+}
+
+void TcpEngine::release_headers(std::uint64_t mark) {
+  hdr_inflight_.take_below(mark, [this](std::uint64_t, chan::RichPtr&& hdr) {
+    env_.buf_pool->release(hdr);
+  });
 }
 
 void TcpEngine::release_payload(const chan::RichPtr& p) {
@@ -507,7 +513,7 @@ void TcpEngine::send_segment(Conn& c, std::uint32_t seq, std::uint32_t len,
   }
 
   const std::uint64_t cookie = next_cookie_++;
-  hdr_inflight_.emplace(cookie, hdr);
+  hdr_inflight_.put(cookie, hdr);
   ++stats_.segs_out;
   if (flags & tcpflag::kAck) ++stats_.acks_out;
   if (retransmission) {
@@ -557,24 +563,24 @@ void TcpEngine::send_rst(Ipv4Addr src, Ipv4Addr dst, std::uint16_t sport,
   seg.dst = dst;
   seg.protocol = kProtoTcp;
   const std::uint64_t cookie = next_cookie_++;
-  hdr_inflight_.emplace(cookie, hdr);
+  hdr_inflight_.put(cookie, hdr);
   ++stats_.resets_out;
   ++stats_.segs_out;
   env_.output(std::move(seg), cookie);
 }
 
-void TcpEngine::seg_done(std::uint64_t cookie, bool sent) {
+void TcpEngine::seg_done(std::uint64_t cookie, bool sent,
+                         std::uint64_t mark) {
   (void)sent;  // data loss is repaired by retransmission
-  auto it = hdr_inflight_.find(cookie);
-  if (it == hdr_inflight_.end()) return;  // stale (pre-crash) completion
-  env_.buf_pool->release(it->second);
-  hdr_inflight_.erase(it);
+  chan::RichPtr hdr;
+  // Absent: a stale (pre-crash) completion, or already below a mark.
+  if (hdr_inflight_.take(cookie, hdr)) env_.buf_pool->release(hdr);
+  release_headers(mark);
 }
 
 void TcpEngine::on_ip_restart() {
   // Completions for in-flight headers will never arrive: free them all.
-  for (auto& [cookie, hdr] : hdr_inflight_) env_.buf_pool->release(hdr);
-  hdr_inflight_.clear();
+  release_headers();
   // Resubmit: anything not ACKed may or may not have reached the wire.  We
   // prefer duplicates over RTO stalls (Section V-D "IP"): go back to
   // snd_una and retransmit immediately.

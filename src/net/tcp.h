@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/chan/cookie_ring.h"
 #include "src/chan/pool.h"
 #include "src/net/cc/congestion.h"
 #include "src/net/env.h"
@@ -289,7 +290,9 @@ class TcpEngine {
   // aggregate and answers with ONE (stretch) ACK; anything that fails the
   // fast-path preconditions falls back to per-segment input().
   void input_agg(std::vector<L4Packet>&& segs);
-  void seg_done(std::uint64_t cookie, bool sent);
+  // IP finished the segment sent under `cookie`, and every segment below
+  // `mark` (0: no mark): their headers are freed.
+  void seg_done(std::uint64_t cookie, bool sent, std::uint64_t mark = 0);
   // After an IP crash: replies to old cookies will never arrive.  Frees all
   // pending headers (data stays in sndq) and retransmits aggressively so the
   // connection recovers its bitrate quickly (Section V-D "IP").
@@ -384,6 +387,8 @@ class TcpEngine {
   const Stats& stats() const { return stats_; }
   const TcpOptions& options() const { return opts_; }
   std::size_t connection_count() const { return conns_.size(); }
+  // Segment headers sent to IP whose done-report is still due.
+  std::size_t headers_in_flight() const { return hdr_inflight_.size(); }
 
   // Teardown/crash support: replaces the rx_done report with a direct
   // release through the pool registry.  A dying or destructed host has no
@@ -499,6 +504,8 @@ class TcpEngine {
   // Releases one reference on a payload chunk through its owning pool
   // (resolves sub-ranges; forwarded payloads live in foreign pools).
   void release_payload(const chan::RichPtr& p);
+  // Frees the in-flight segment headers below `mark` (default: all).
+  void release_headers(std::uint64_t mark = UINT64_MAX);
   Conn* conn_by_tuple(Ipv4Addr peer, std::uint16_t pport, std::uint16_t lport);
   // Every by_tuple_ insert and erase goes through these two, which keep
   // lport_uses_ in step with the index.
@@ -593,7 +600,8 @@ class TcpEngine {
   std::map<ConnKey, SockId> by_tuple_;
   // Local port -> by_tuple_ keys using it (absent when none).
   std::unordered_map<std::uint16_t, std::uint32_t> lport_uses_;
-  std::unordered_map<std::uint64_t, chan::RichPtr> hdr_inflight_;
+  // Segment headers awaiting IP's done-report, by cookie.
+  chan::CookieRing<chan::RichPtr> hdr_inflight_;
   // Sockets created by open() but not yet listener/connection.
   std::unordered_map<SockId, TupleInfo> embryos_;
   // Connections restore_conn() rebuilt, awaiting resync_restored().

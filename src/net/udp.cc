@@ -11,10 +11,12 @@ UdpEngine::~UdpEngine() {
   for (auto& [id, sock] : socks_) {
     for (auto& item : sock.rxq) env_.rx_done(item.frame);
   }
-  for (auto& [cookie, seg] : inflight_) {
-    env_.buf_pool->release(seg.header);
-    if (seg.payload.valid()) env_.buf_pool->release(seg.payload);
-  }
+  inflight_.drain([this](std::uint64_t, PendingSeg&& seg) { release(seg); });
+}
+
+void UdpEngine::release(const PendingSeg& seg) {
+  env_.buf_pool->release(seg.header);
+  if (seg.payload.valid()) env_.buf_pool->release(seg.payload);
 }
 
 UdpEngine::Sock* UdpEngine::find(SockId s) {
@@ -116,19 +118,27 @@ bool UdpEngine::sendto(SockId s, chan::RichPtr payload, Ipv4Addr dst,
   seg.protocol = kProtoUdp;
 
   const std::uint64_t cookie = next_cookie_++;
-  inflight_.emplace(cookie, PendingSeg{hdr, payload});
+  inflight_.put(cookie, PendingSeg{hdr, payload});
   ++stats_.datagrams_out;
   env_.output(std::move(seg), cookie);
   return true;
 }
 
-void UdpEngine::seg_done(std::uint64_t cookie, bool sent) {
+void UdpEngine::seg_done(std::uint64_t cookie, bool sent,
+                         std::uint64_t mark) {
   (void)sent;  // UDP is fire-and-forget either way
-  auto it = inflight_.find(cookie);
-  if (it == inflight_.end()) return;  // stale reply from before a crash
-  env_.buf_pool->release(it->second.header);
-  if (it->second.payload.valid()) env_.buf_pool->release(it->second.payload);
-  inflight_.erase(it);
+  PendingSeg seg;
+  // Absent: a stale reply from before a crash, or already below a mark.
+  if (inflight_.take(cookie, seg)) release(seg);
+  inflight_.take_below(mark,
+                       [this](std::uint64_t, PendingSeg&& s) { release(s); });
+}
+
+std::uint64_t UdpEngine::renumber(std::uint64_t cookie) {
+  const std::uint64_t fresh = next_cookie_++;
+  PendingSeg seg;
+  if (inflight_.take(cookie, seg)) inflight_.put(fresh, seg);
+  return fresh;
 }
 
 void UdpEngine::input(L4Packet&& pkt) {

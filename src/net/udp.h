@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/chan/cookie_ring.h"
 #include "src/chan/pool.h"
 #include "src/net/env.h"
 #include "src/net/ip.h"
@@ -98,7 +99,13 @@ class UdpEngine {
 
   // --- from IP -------------------------------------------------------------------
   void input(L4Packet&& pkt);
-  void seg_done(std::uint64_t cookie, bool sent);
+  // IP finished the datagram sent under `cookie`, and every one below
+  // `mark` (0: no mark): their chunks are freed.
+  void seg_done(std::uint64_t cookie, bool sent, std::uint64_t mark = 0);
+  // Moves the datagram in flight under `cookie`, if any, to a fresh cookie
+  // (the newest) and returns that cookie.  Resubmitting to a restarted IP
+  // this way keeps the cookies IP sees rising.
+  std::uint64_t renumber(std::uint64_t cookie);
 
   // --- recovery (Section V-D) ------------------------------------------------------
   struct SockRec {
@@ -144,6 +151,8 @@ class UdpEngine {
     chan::RichPtr payload;
   };
 
+  void release(const PendingSeg& seg);
+
   Sock* find(SockId s);
   const Sock* find(SockId s) const;
   std::uint16_t ephemeral_port();
@@ -155,7 +164,8 @@ class UdpEngine {
   std::uint64_t next_cookie_ = 1;
   std::unordered_map<SockId, Sock> socks_;
   std::unordered_map<std::uint16_t, SockId> bound_;  // lport -> socket
-  std::unordered_map<std::uint64_t, PendingSeg> inflight_;
+  // Datagrams awaiting IP's done-report, by cookie.
+  chan::CookieRing<PendingSeg> inflight_;
 
   static constexpr std::size_t kMaxRxQueue = 64;
 };

@@ -1,6 +1,7 @@
 #include "src/servers/ip_server.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdlib>
 
 #include "src/net/pbuf.h"
@@ -124,16 +125,35 @@ void IpServer::build_engine() {
     send_l4(protocol, segs);
   };
   e.seg_done = [this](std::uint64_t l4_cookie, bool sent) {
-    auto it = l4_reqs_.find(l4_cookie);
-    if (it == l4_reqs_.end()) return;
-    chan::Message m;
-    m.opcode = kIpTxDone;
-    m.req_id = it->second.orig_id;
-    m.arg0 = sent ? 1 : 0;
-    send_to(it->second.from, m, cur());
-    l4_reqs_.erase(it);
+    l4_done(l4_cookie, sent);
   };
   engine_ = std::make_unique<net::IpEngine>(std::move(e), cfg_.ip);
+}
+
+std::size_t IpServer::l4_sender(const std::string& name) {
+  for (std::size_t i = 0; i < l4_senders_.size(); ++i) {
+    if (l4_senders_[i].name == name) return i;
+  }
+  assert(l4_senders_.size() < (1u << kL4SenderBits));
+  l4_senders_.push_back(L4Sender{name, {}, 1});
+  return l4_senders_.size() - 1;
+}
+
+void IpServer::l4_done(std::uint64_t l4_cookie, bool sent) {
+  const std::size_t slot = l4_cookie & ((1u << kL4SenderBits) - 1);
+  if (slot >= l4_senders_.size()) return;
+  L4Sender& s = l4_senders_[slot];
+  std::uint64_t cookie = 0;
+  // Absent: the sender died since (on_peer_down dropped its requests).
+  if (!s.reqs.take(l4_cookie >> kL4SenderBits, cookie)) return;
+  chan::Message m;
+  m.opcode = kIpTxDone;
+  m.req_id = cookie;
+  m.arg0 = sent ? 1 : 0;
+  // The cumulative mark: every cookie of this sender below it is complete
+  // here and its report went out, even if that report was then lost.
+  m.arg1 = s.reqs.empty() ? cookie + 1 : std::min(s.reqs.front(), cookie + 1);
+  send_to(s.name, m, cur());
 }
 
 void IpServer::start(bool restart) {
@@ -179,7 +199,7 @@ void IpServer::start(bool restart) {
 
 void IpServer::on_killed() {
   engine_.reset();
-  l4_reqs_.clear();
+  l4_senders_.clear();
   drv_descs_.clear();  // in-flight descriptor chunks leak, bounded per crash
   posted_.clear();
 }
@@ -227,9 +247,11 @@ void IpServer::on_message(const std::string& from, const chan::Message& m,
       if (!cfg_.csum_offload) {
         charge(ctx, costs.checksum_cost(seg.total_len()));
       }
-      const std::uint64_t id = next_l4_++;
-      l4_reqs_.emplace(id, L4Req{from, m.req_id});
-      engine_->output(std::move(seg), id);
+      const std::size_t slot = l4_sender(from);
+      L4Sender& sender = l4_senders_[slot];
+      const std::uint64_t seq = sender.next_seq++;
+      sender.reqs.put(seq, m.req_id);
+      engine_->output(std::move(seg), (seq << kL4SenderBits) | slot);
       return;
     }
     case kPfVerdict:
@@ -351,6 +373,13 @@ void IpServer::on_peer_up(const std::string& peer, bool restarted,
 
 void IpServer::on_peer_down(const std::string& peer, sim::Context& ctx) {
   (void)ctx;
+  // The transport died: its successor numbers its cookies from 1 again, so
+  // a report (and its mark) for the dead incarnation's requests could free
+  // the successor's live headers.  Forget them; the engine's completions
+  // for them then find nothing to report.  Sequence numbers keep rising.
+  for (auto& s : l4_senders_) {
+    if (s.name == peer) s.reqs.clear();
+  }
   for (int s = 0; s < std::max(1, cfg_.tcp_shards); ++s) {
     if (peer != tcp_shard_name(s)) continue;
     if (rx_pool_ != nullptr) {

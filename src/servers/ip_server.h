@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/chan/cookie_ring.h"
 #include "src/net/ip.h"
 #include "src/servers/proto.h"
 #include "src/servers/server.h"
@@ -74,12 +75,22 @@ class IpServer : public Server {
   chan::Pool* hdr_pool_ = nullptr;
   chan::Pool* rx_pool_ = nullptr;
 
-  struct L4Req {
-    std::string from;
-    std::uint64_t orig_id = 0;
+  // Transport TX requests in flight, per sender (the tcp replicas, then
+  // udp).  Each sender's FIFO is keyed by an IP-local sequence number and
+  // holds the sender's own cookie; the engine carries the request as
+  // l4 cookie (seq << 8) | sender.  A sender's cookies rise and reach us
+  // over one FIFO channel, so the oldest entry holds its lowest cookie
+  // still in flight here: that is what makes kIpTxDone's mark sound.
+  struct L4Sender {
+    std::string name;
+    chan::CookieRing<std::uint64_t> reqs;
+    std::uint64_t next_seq = 1;
   };
-  std::unordered_map<std::uint64_t, L4Req> l4_reqs_;
-  std::uint64_t next_l4_ = 1;
+  static constexpr int kL4SenderBits = 8;
+  // The sender slot of `name`, added on first use.
+  std::size_t l4_sender(const std::string& name);
+  void l4_done(std::uint64_t l4_cookie, bool sent);
+  std::vector<L4Sender> l4_senders_;
   // Frame-chain descriptors we packed for drivers, freed on completion.
   std::unordered_map<std::uint64_t, chan::RichPtr> drv_descs_;
   std::map<int, int> posted_;  // rx buffers outstanding per ifindex

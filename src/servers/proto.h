@@ -43,7 +43,9 @@ enum Opcode : std::uint16_t {
   // --- transport -> IP ---------------------------------------------------------
   kIpTx = 10,     // ptr=packed chain; req_id=l4 cookie; arg0=src<<32|dst;
                   // arg1=protocol
-  kIpTxDone,      // req_id=l4 cookie; arg0=sent(0/1)
+  kIpTxDone,      // req_id=l4 cookie; arg0=sent(0/1); arg1=cumulative
+                  // mark: every cookie of this sender below it is
+                  // complete (0: no mark)
 
   // --- IP -> transport ---------------------------------------------------------
   kL4Rx = 20,     // WireRxFrame records: one frame, or the members of one

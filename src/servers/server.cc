@@ -211,10 +211,9 @@ void Server::pump(sim::Context& ctx) {
   if (g_trace)
     std::fprintf(stderr, "[%.6f] pump %s/%s\n", sim().now() / 1e9,
                  env_->node_name.c_str(), name_.c_str());
-  const auto& costs = sim().costs();
   if (sleeping_) {
     // The kernel restores our user context after MWAIT (Section IV-B).
-    charge(ctx, costs.mwait_wakeup);
+    charge(ctx, sim().costs().mwait_wakeup);
     sleeping_ = false;
     ++wakeups_;
   }
@@ -241,32 +240,8 @@ void Server::pump(sim::Context& ctx) {
     for (std::size_t i = 0; i < in_queues_.size(); ++i) {
       chan::Message m;
       if (!in_queues_[i].queue->try_recv(m)) continue;
-      if (env_->knobs.ipc == IpcMode::kKernelSync) {
-        charge(ctx, env_->kernel->receive(sizeof m) + costs.context_switch);
-      } else {
-        charge(ctx, costs.channel_dequeue + costs.cache_line_pull);
-      }
-      // By reference: in_queues_ only mutates in start() (boot-time) and
-      // kill() (never self-invoked from a handler), so the name outlives
-      // the on_message call — no per-message heap churn.
-      const std::string& from = in_queues_[i].from;
-      if (g_trace)
-        std::fprintf(stderr, "[%.6f]   msg %s->%s op=%u\n", sim().now() / 1e9,
-                     from.c_str(), name_.c_str(), m.opcode);
-      if (!drop_work_) {
-        if (m.opcode == kWorkProbe) {
-          answer_probe(m, ctx);
-        } else if (m.opcode == kStoreAck) {
-          // The storage server holds its own copy of a store_put value:
-          // free the put's chunk.  An ack this incarnation did not
-          // request (its put died with a predecessor) is ignored.
-          if (rdb_.complete(m.req_id)) env_->pools->release(m.ptr);
-        } else {
-          on_message(from, m, ctx);
-        }
-      }
+      dispatch(in_queues_[i].from, m, ctx);
       ++handled;
-      ++messages_handled_;
       got = true;
       if (!alive_ || hung_) {  // killed ourselves while handling a message
         died = true;
@@ -297,6 +272,42 @@ void Server::pump(sim::Context& ctx) {
     });
   } else {
     enter_idle(ctx);
+  }
+}
+
+void Server::dispatch(const std::string& from, const chan::Message& m,
+                      sim::Context& ctx) {
+  if (env_->knobs.ipc == IpcMode::kKernelSync) {
+    charge(ctx,
+           env_->kernel->receive(sizeof m) + sim().costs().context_switch);
+  } else {
+    charge(ctx, sim().costs().channel_dequeue + sim().costs().cache_line_pull);
+  }
+  if (g_trace)
+    std::fprintf(stderr, "[%.6f]   msg %s->%s op=%u\n", sim().now() / 1e9,
+                 from.c_str(), name_.c_str(), m.opcode);
+  ++messages_handled_;
+  if (drop_work_) return;
+  if (m.opcode == kWorkProbe) {
+    answer_probe(m, ctx);
+  } else if (m.opcode == kStoreAck) {
+    // The storage server holds its own copy of a store_put value: free the
+    // put's chunk.  An ack this incarnation did not request (its put died
+    // with a predecessor) is ignored.
+    if (rdb_.complete(m.req_id)) env_->pools->release(m.ptr);
+  } else {
+    on_message(from, m, ctx);
+  }
+}
+
+void Server::drain_from(const std::string& peer, sim::Context& ctx) {
+  for (const auto& in : in_queues_) {
+    if (in.from != peer) continue;
+    chan::Queue* q = in.queue;
+    chan::Message m;
+    // A handler that kills this server clears in_queues_: stop there.
+    while (alive_ && !hung_ && q->try_recv(m)) dispatch(peer, m, ctx);
+    return;
   }
 }
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/chan/channel.h"
+#include "src/chan/cookie_ring.h"
 #include "src/chan/pool.h"
 #include "src/chan/registry.h"
 #include "src/chan/request_db.h"
@@ -119,6 +120,16 @@ inline void release_in_flight(chan::Pool* pool, Map& descs, Proj&& proj) {
     }
   }
   descs.clear();
+}
+
+// The same for a cookie ring, oldest first.
+template <typename T, typename Proj>
+inline void release_in_flight(chan::Pool* pool, chan::CookieRing<T>& descs,
+                              Proj&& proj) {
+  descs.drain([&](std::uint64_t, T&& value) {
+    const chan::RichPtr& p = proj(value);
+    if (pool != nullptr && p.valid()) pool->release(p);
+  });
 }
 
 template <typename Map>
@@ -237,6 +248,10 @@ class Server {
   void send_to_all(const std::vector<std::string>& peers,
                    const chan::Message& m, sim::Context& ctx);
   bool peer_ready(const std::string& peer) const;
+  // Handles, here and now, every message `peer` has already queued for
+  // us, with the same charges and dispatch as the pump.  For a restart
+  // handler that must first see what the new incarnation already said.
+  void drain_from(const std::string& peer, sim::Context& ctx);
 
   // Declares this server announced ("server.<name>.up" published).  Called
   // by subclasses when their state is restored and they are open for
@@ -292,6 +307,12 @@ class Server {
   // gate: handling the probe *is* work, so a silently wedged server drops
   // it and the missing ack is the detection signal.
   void answer_probe(const chan::Message& m, sim::Context& ctx);
+  // One dequeued message: the dequeue charge, then the work probe, a store
+  // ack or on_message (nothing while the work is dropped).  `from` must
+  // outlive the call: in_queues_ only changes in start() and kill(), so
+  // its names do, and the pump pays no per-message copy.
+  void dispatch(const std::string& from, const chan::Message& m,
+                sim::Context& ctx);
   void enter_idle(sim::Context& ctx);
 
   NodeEnv* env_;

@@ -153,6 +153,11 @@ void SyscallServer::on_message(const std::string& from,
 void SyscallServer::on_peer_up(const std::string& peer, bool restarted,
                                sim::Context& ctx) {
   if (!restarted) return;
+  // The new incarnation may already have executed ops we sent it before
+  // its announcement reached us: their replies wait in our queue.  Settle
+  // those first, or an executed open would run twice and an executed
+  // bind would be failed to the app although its port is bound.
+  drain_from(peer, ctx);
   // Section V-D: for UDP we resubmit the last unfinished operation per
   // socket (duplicates preferred over losses); TCP "returns error to any
   // operation the SYSCALL server resubmits except listen".  Only the ops

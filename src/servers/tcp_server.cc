@@ -83,7 +83,7 @@ void TcpServer::build_engine() {
       engine_->seg_done(cookie, false);  // IP down: RTO recovers
       return;
     }
-    tx_descs_.emplace(cookie, desc);
+    tx_descs_.put(cookie, desc);
   };
   e.rx_done = [this](const chan::RichPtr& frame) {
     chan::Message m;
@@ -284,12 +284,14 @@ void TcpServer::on_message(const std::string& from, const chan::Message& m,
   switch (m.opcode) {
     case kIpTxDone: {
       charge(ctx, sim().costs().request_db_op);
-      auto it = tx_descs_.find(m.req_id);
-      if (it != tx_descs_.end()) {
-        pool_->release(it->second);
-        tx_descs_.erase(it);
-      }
-      engine_->seg_done(m.req_id, m.arg0 != 0);
+      chan::RichPtr desc;
+      if (tx_descs_.take(m.req_id, desc)) pool_->release(desc);
+      // Below the mark IP is done with everything, including requests
+      // whose own report was lost on a full queue.
+      tx_descs_.take_below(m.arg1, [this](std::uint64_t, chan::RichPtr&& d) {
+        pool_->release(d);
+      });
+      engine_->seg_done(m.req_id, m.arg0 != 0, m.arg1);
       return;
     }
     case kConnList: {

@@ -30,9 +30,9 @@
 #include <deque>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "src/chan/cookie_ring.h"
 #include "src/net/tcp.h"
 #include "src/servers/checkpoint.h"
 #include "src/servers/proto.h"
@@ -111,8 +111,9 @@ class TcpServer : public TransportServer {
   std::unique_ptr<CheckpointWriter> writer_;  // before engine_: outlives it
   std::unique_ptr<net::TcpEngine> engine_;
   chan::Pool* pool_ = nullptr;
-  // kIpTx descriptors in flight; freed on kIpTxDone or IP restart.
-  std::unordered_map<std::uint64_t, chan::RichPtr> tx_descs_;
+  // kIpTx descriptors in flight by engine cookie; freed on kIpTxDone (its
+  // own and everything below the done's mark) or IP restart.
+  chan::CookieRing<chan::RichPtr> tx_descs_;
   // In-flight kStoreGet requests of the restart sequence (req -> key).
   std::map<std::uint64_t, std::uint32_t> store_gets_;
   int ckpt_pending_ = 0;  // record/dir-page fetches still outstanding

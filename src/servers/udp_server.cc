@@ -1,6 +1,7 @@
 #include "src/servers/udp_server.h"
 
 #include <cstring>
+#include <utility>
 
 #include "src/net/pbuf.h"
 
@@ -44,7 +45,7 @@ void UdpServer::build_engine() {
       engine_->seg_done(cookie, false);  // IP down: datagram dropped
       return;
     }
-    pending_tx_.emplace(cookie, PendingTx{desc, m.arg0});
+    pending_tx_.put(cookie, PendingTx{desc, m.arg0});
   };
   e.rx_done = [this](const chan::RichPtr& frame) {
     chan::Message m;
@@ -169,12 +170,14 @@ void UdpServer::on_message(const std::string& from, const chan::Message& m,
   if (on_rx_message(m, ctx)) return;
   switch (m.opcode) {
     case kIpTxDone: {
-      auto it = pending_tx_.find(m.req_id);
-      if (it != pending_tx_.end()) {
-        pool_->release(it->second.desc);
-        pending_tx_.erase(it);
-      }
-      engine_->seg_done(m.req_id, m.arg0 != 0);
+      PendingTx p;
+      if (pending_tx_.take(m.req_id, p)) pool_->release(p.desc);
+      // Below the mark IP is done with everything, including datagrams
+      // whose own report was lost on a full queue.
+      pending_tx_.take_below(m.arg1, [this](std::uint64_t, PendingTx&& d) {
+        pool_->release(d.desc);
+      });
+      engine_->seg_done(m.req_id, m.arg0 != 0, m.arg1);
       return;
     }
     case kConnList: {
@@ -241,17 +244,25 @@ void UdpServer::on_message(const std::string& from, const chan::Message& m,
 void UdpServer::on_peer_up(const std::string& peer, bool restarted,
                            sim::Context& ctx) {
   if (peer == kIpName && restarted) {
-    // Resubmit in-flight datagrams: we prefer duplicates over losses
-    // (Section V-D "UDP").
-    for (auto& [cookie, pending] : pending_tx_) {
+    // Resubmit in-flight datagrams, oldest first: we prefer duplicates
+    // over losses (Section V-D "UDP").  Each goes under a fresh cookie:
+    // the new IP may already hold newer datagrams of ours, and its done
+    // marks are sound only while the cookies it sees rise.
+    auto resubmit = std::exchange(pending_tx_, {});
+    resubmit.drain([&](std::uint64_t cookie, PendingTx&& pending) {
       chan::Message m;
       m.opcode = kIpTx;
-      m.req_id = cookie;
+      m.req_id = engine_->renumber(cookie);
       m.ptr = pending.desc;
       m.arg0 = pending.arg0;
       m.arg1 = net::kProtoUdp;
-      send_to(kIpName, m, ctx);
-    }
+      if (!send_to(kIpName, m, ctx)) {
+        pool_->release(pending.desc);
+        engine_->seg_done(m.req_id, false);  // datagram dropped
+        return;
+      }
+      pending_tx_.put(m.req_id, pending);
+    });
     return;
   }
   if (peer == kStoreName && restarted) {

@@ -12,8 +12,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
+#include "src/chan/cookie_ring.h"
 #include "src/net/udp.h"
 #include "src/servers/proto.h"
 #include "src/servers/transport_server.h"
@@ -61,7 +61,9 @@ class UdpServer : public TransportServer {
     chan::RichPtr desc;
     std::uint64_t arg0 = 0;  // src/dst for resubmission
   };
-  std::unordered_map<std::uint64_t, PendingTx> pending_tx_;
+  // kIpTx descriptors in flight by engine cookie; freed on kIpTxDone (its
+  // own and everything below the done's mark).
+  chan::CookieRing<PendingTx> pending_tx_;
 };
 
 }  // namespace newtos::servers

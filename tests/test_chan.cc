@@ -2,6 +2,10 @@
 // pools with rich pointers, request database, registry and channel manager.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <fstream>
 #include <map>
 #include <optional>
 #include <string>
@@ -9,6 +13,7 @@
 #include <vector>
 
 #include "src/chan/channel.h"
+#include "src/chan/cookie_ring.h"
 #include "src/chan/pool.h"
 #include "src/chan/registry.h"
 #include "src/chan/request_db.h"
@@ -215,6 +220,42 @@ TEST(Pool, ContainingResolvesSubRanges) {
   EXPECT_EQ(pool.containing(RichPtr{1, 256, 1, g}), b2);
   EXPECT_FALSE(pool.containing(RichPtr{1, 257, 1, g}).valid());
   EXPECT_FALSE(pool.containing(RichPtr{1, 200, 60, g}).valid());
+}
+
+namespace {
+
+// Resident set size of this process, from /proc/self/statm (pages).
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size_pages = 0;
+  std::size_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+}  // namespace
+
+// A pool's bytes are a demand-zero mapping: creating a large pool commits
+// almost nothing, an allocated chunk reads as zero until written, and
+// writing a chunk commits about its own size.
+TEST(Pool, PagesAreCommittedOnFirstTouch) {
+  constexpr std::size_t kSize = 256u << 20;
+  const std::size_t before = resident_bytes();
+  Pool pool(1, "t", kSize);
+  EXPECT_EQ(pool.size(), kSize);
+  EXPECT_LT(resident_bytes(), before + (2u << 20));
+
+  RichPtr fresh = pool.alloc(4096);
+  ASSERT_TRUE(fresh.valid());
+  for (std::byte b : pool.read_view(fresh)) ASSERT_EQ(b, std::byte{0});
+
+  RichPtr chunk = pool.alloc(64 << 10);
+  ASSERT_TRUE(chunk.valid());
+  const std::size_t untouched = resident_bytes();
+  auto view = pool.write_view(chunk);
+  std::fill(view.begin(), view.end(), std::byte{0x5a});
+  EXPECT_LE(resident_bytes(), untouched + (64u << 10) + (256u << 10));
+  EXPECT_EQ(pool.size(), kSize);
 }
 
 TEST(Pool, InteriorOffsetsAreNotChunks) {
@@ -487,6 +528,79 @@ TEST(Pool, MatchesAnOrderedMapReference) {
 }
 
 // --- Queue + doorbell ---------------------------------------------------------------------
+
+// --- Cookie ring ---------------------------------------------------------------------
+
+TEST(CookieRing, TakesInAnyOrderAndSweepsBelowAMark) {
+  CookieRing<int> ring;
+  for (std::uint64_t c = 1; c <= 6; ++c) ring.put(c, static_cast<int>(c * 10));
+  int v = 0;
+  EXPECT_TRUE(ring.take(3, v));
+  EXPECT_EQ(v, 30);
+  EXPECT_FALSE(ring.take(3, v));  // already gone
+  EXPECT_EQ(ring.front_cookie(), 1u);
+  EXPECT_TRUE(ring.take(1, v));
+  EXPECT_EQ(ring.front_cookie(), 2u);
+  EXPECT_EQ(ring.front(), 20);
+
+  // A mark sweeps everything below it, oldest first, and nothing else.
+  std::vector<std::uint64_t> swept;
+  ring.take_below(5, [&](std::uint64_t c, int&&) { swept.push_back(c); });
+  EXPECT_EQ(swept, (std::vector<std::uint64_t>{2, 4}));
+  EXPECT_EQ(ring.size(), 2u);
+  EXPECT_EQ(ring.front_cookie(), 5u);
+  ring.take_below(0, [&](std::uint64_t, int&&) { FAIL() << "no mark"; });
+  EXPECT_EQ(ring.size(), 2u);
+}
+
+TEST(CookieRing, GrowsAcrossWrapAndGapsAndMatchesAMap) {
+  // Random puts (rising, with gaps), takes and marks against a std::map.
+  CookieRing<std::uint64_t> ring;
+  std::map<std::uint64_t, std::uint64_t> ref;
+  newtos::sim::Rng rng(11);
+  std::uint64_t next = 1;
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t op = rng.below(10);
+    if (op < 5) {
+      next += 1 + rng.below(3);
+      ring.put(next, next * 7);
+      ref[next] = next * 7;
+    } else if (op < 9 && !ref.empty()) {
+      // Mostly the oldest few, as done-reports come back.
+      auto it = ref.begin();
+      std::advance(it, rng.below(std::min<std::size_t>(9, ref.size())));
+      std::uint64_t v = 0;
+      ASSERT_TRUE(ring.take(it->first, v));
+      EXPECT_EQ(v, it->second);
+      ref.erase(it);
+    } else if (!ref.empty()) {
+      const std::uint64_t mark = ref.begin()->first + rng.below(5);
+      std::vector<std::uint64_t> want;
+      for (auto it = ref.begin(); it != ref.end() && it->first < mark;) {
+        want.push_back(it->first);
+        it = ref.erase(it);
+      }
+      std::vector<std::uint64_t> got;
+      ring.take_below(mark, [&](std::uint64_t c, std::uint64_t&& v) {
+        EXPECT_EQ(v, c * 7);
+        got.push_back(c);
+      });
+      ASSERT_EQ(got, want);
+    }
+    ASSERT_EQ(ring.size(), ref.size());
+    if (!ref.empty()) {
+      ASSERT_EQ(ring.front_cookie(), ref.begin()->first);
+    }
+  }
+  std::vector<std::uint64_t> left;
+  ring.drain([&](std::uint64_t c, std::uint64_t&&) { left.push_back(c); });
+  std::vector<std::uint64_t> want;
+  for (const auto& [c, v] : ref) want.push_back(c);
+  EXPECT_EQ(left, want);
+  EXPECT_TRUE(ring.empty());
+  ring.put(3, 1);  // an emptied ring may start anywhere
+  EXPECT_EQ(ring.front_cookie(), 3u);
+}
 
 TEST(Queue, DoorbellFiresOnceOnSend) {
   Queue q("t", 16);

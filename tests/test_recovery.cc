@@ -265,3 +265,82 @@ TEST(Recovery, DeviceWedgeClearedByDriverRestart) {
   EXPECT_FALSE(rig.tb.newtos().nic(0)->wedged());
   EXPECT_TRUE(rig.ssh.connected());
 }
+
+// An app opens and binds a UDP socket just as the UDP server restarts.  The
+// new incarnation executes both ops before SYSCALL learns of the restart,
+// so their replies are already queued when SYSCALL's restart handler runs:
+// they settle the ops, and nothing is resubmitted (a second, unbound
+// socket) or failed (a bind whose port is in fact bound).
+TEST(Recovery, UdpOpsRacingTheRestartSettleByTheirReplies) {
+  for (sim::Time after_restart : {0, 250, 500, 750, 1000}) {
+    Testbed tb(default_opts());
+    AppActor* app = tb.newtos().add_app("udp_app");
+    UdpSocket sock(*app);
+    tb.run_until(100 * sim::kMillisecond);
+    tb.newtos().manual_restart(servers::kUdpName);  // back 5 ms later
+    bool replied = false;
+    bool bound = false;
+    app->call_after(5 * sim::kMillisecond + after_restart,
+                    [&](sim::Context&) {
+                      sock.bind(net::Ipv4Addr{}, 6000, [&](bool ok) {
+                        replied = true;
+                        bound = ok;
+                      });
+                    });
+    tb.run_until(200 * sim::kMillisecond);
+    ASSERT_TRUE(replied) << after_restart;
+    EXPECT_TRUE(bound) << after_restart;
+    EXPECT_EQ(tb.newtos().udp_engine()->socket_count(), 1u) << after_restart;
+  }
+}
+
+// TCP crashes while IP still holds one of its segments: PF is hung, so the
+// SYN (cookie 1) waits at IP for its filter verdict.  The successor numbers
+// its cookies from 1 again, and its own SYN (cookie 1 too) waits for PF as
+// well and then behind a hung drv1.  When PF is restarted the dead
+// incarnation's SYN goes out, and IP must not report that completion (nor
+// its cumulative mark) to the successor: it would free a header whose
+// segment drv1 still has to send.
+TEST(Recovery, DeadIncarnationsDoneReportsNeverFreeSuccessorHeaders) {
+  TestbedOptions opts = default_opts();
+  opts.nics = 2;
+  Testbed tb(opts);
+  Node& node = tb.newtos();
+  FaultInjector faults(node, /*seed=*/7);
+  AppActor* app = node.add_app("app");
+  // Resolve both neighbours first, so the SYNs below never wait (and time
+  // out) on ARP.
+  UdpSocket udp(*app);
+  app->call([&](sim::Context&) {
+    udp.sendto(32, node.peer_addr(0), 9, {});
+    udp.sendto(32, node.peer_addr(1), 9, {});
+  });
+  tb.run_until(1 * sim::kMillisecond);
+
+  // Heartbeats (every 50 ms; reset on the third missed tick) restart PF at
+  // about 155 ms and drv1, hung one beat later, at about 205 ms.
+  faults.inject(servers::kPfName, FaultType::Hang);
+  TcpSocket old_conn(*app);
+  app->call([&](sim::Context&) {
+    old_conn.connect(node.peer_addr(0), 5001, {});
+  });
+  tb.run_until(10 * sim::kMillisecond);
+  ASSERT_EQ(node.tcp_engine()->headers_in_flight(), 1u);
+  faults.inject(servers::kTcpName, FaultType::Crash);  // back at 15 ms
+
+  tb.run_until(55 * sim::kMillisecond);
+  faults.inject(servers::driver_name(1), FaultType::Hang);
+  TcpSocket new_conn(*app);
+  app->call([&](sim::Context&) {
+    new_conn.connect(node.peer_addr(1), 5002, {});
+  });
+  tb.run_until(60 * sim::kMillisecond);
+  ASSERT_EQ(node.tcp_engine()->headers_in_flight(), 1u);
+
+  // PF is back and the dead incarnation's SYN went out; drv1 is still hung.
+  tb.run_until(180 * sim::kMillisecond);
+  auto* rs = node.reincarnation();
+  ASSERT_GE(rs->child_stats().at(servers::kPfName).hang_resets, 1u);
+  ASSERT_TRUE(node.server(servers::driver_name(1))->hung());
+  EXPECT_EQ(node.tcp_engine()->headers_in_flight(), 1u);
+}

@@ -490,8 +490,9 @@ TEST(SimCore, LaneMatchesTwoEventReference) {
     Workload<Simulator, SimCore, Context> lane(sim, seed, got);
     Workload<RefSim, RefSim::Core, RefSim::Ctx> two(ref, seed, want);
     for (int c = 0; c < kCores; ++c) {
-      lane.cores.push_back(&sim.add_core("c" + std::to_string(c)));
-      two.cores.push_back(&ref.add_core("c" + std::to_string(c)));
+      const std::string name = std::string("c").append(std::to_string(c));
+      lane.cores.push_back(&sim.add_core(name));
+      two.cores.push_back(&ref.add_core(name));
     }
     const std::uint64_t lane_steps = lane.run();
     const std::uint64_t ref_steps = two.run();
